@@ -74,11 +74,10 @@ def test_lower_step_ablation(benchmark, lower):
 @pytest.mark.parametrize("cached", [True, False],
                          ids=["caches-on", "caches-off"])
 def test_cert_cache_ablation(benchmark, cached):
-    """The perf layer's headline number: certification memoization plus
-    canonical-key caching on a promise-enabled workload, vs. both off."""
+    """The perf layer's headline number: certification memoization on a
+    promise-enabled workload, vs. off."""
     threads = _threads(LB)
-    config = PsConfig(promise_budget=1, enable_cert_cache=cached,
-                      enable_key_cache=cached)
+    config = PsConfig(promise_budget=1, enable_cert_cache=cached)
     result = benchmark(explore, threads, config)
     assert (1, 1) in result.returns()
     benchmark.extra_info["states"] = result.states

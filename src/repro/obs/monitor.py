@@ -9,16 +9,18 @@ instrumented engines:
 
 * **PS^na** (:mod:`repro.psna.explore` / :mod:`repro.psna.machine`) —
   memory coherence (per-location timestamp uniqueness, RMW-interval
-  disjointness), thread-view monotonicity along every machine step,
+  disjointness), canonical form (each location's timestamps are exactly
+  ``0..n-1`` and every message-view stamp and ``attach`` names a message
+  — what makes every state its own dedup key), thread-view monotonicity
+  along every machine step (modulo the step's timestamp renumbering),
   views bounded by the memory frontier (every view timestamp names a
   live message), promise sets that shrink only by fulfillment, and a
   *freeze probe* (ROADMAP item 6): whenever a ``choose`` step resolves a
   frozen ``undef`` while the thread still holds promises, certification
   is re-run uncached and must still succeed.
 * **Caches** — a sampled divergence oracle re-executes a configurable
-  fraction of ``CertCache`` hits (uncached certification must agree with
-  the memoized verdict) and of canonical-key productions (``KeyCache``
-  keys must equal a from-scratch canonicalization).
+  fraction of ``CertCache`` and persistent-store hits (uncached
+  certification must agree with the memoized verdict).
 * **SEQ** (:mod:`repro.seq.refinement`) — frontier consistency (visited
   game states carry nonempty frontiers with well-formed commitment
   sets) and simulation-step sanity (a label step's closed frontier
@@ -79,6 +81,9 @@ INVARIANTS: dict[str, str] = {
         "every (location, timestamp) pair names at most one message",
     "psna.memory.interval-disjoint":
         "no message lies strictly inside an RMW-occupied interval",
+    "psna.state.canonical":
+        "each location's timestamps are exactly 0..n-1, and every "
+        "message-view stamp and RMW attach names a message",
     "psna.view.monotonic":
         "thread views and the SC view only grow along machine steps",
     "psna.view.in-memory":
@@ -93,8 +98,6 @@ INVARIANTS: dict[str, str] = {
         "CertCache hits agree with uncached certification",
     "cache.store-divergence":
         "persistent cert-store hits agree with uncached certification",
-    "cache.key-divergence":
-        "KeyCache keys agree with uncached canonicalization",
     "seq.frontier.consistent":
         "game frontiers are nonempty with well-formed commitments",
     "seq.simulation.step":
@@ -169,17 +172,77 @@ def check_interval_disjoint(memory) -> Optional[str]:
     return None
 
 
+def check_canonical_state(state) -> Optional[str]:
+    """``psna.state.canonical``: the state is its own canonical key.
+
+    Timestamps are dense per-location ranks, so each location's stamps
+    must be exactly ``0..n-1``, and every stamp a message view or an RMW
+    ``attach`` mentions must name a message (thread and SC views:
+    ``psna.view.in-memory``) — otherwise two order-isomorphic states
+    could differ as values and dedup would split them.
+    """
+    if state.bottom:
+        return None
+    by_loc: dict[str, list] = {}
+    for message in state.memory.messages:
+        by_loc.setdefault(message.loc, []).append(message.ts)
+    for loc, stamps in sorted(by_loc.items()):
+        stamps.sort()
+        if stamps != list(range(len(stamps))):
+            return (f"timestamps of {loc} are {stamps}, "
+                    f"not 0..{len(stamps) - 1}")
+    named = {(m.loc, m.ts) for m in state.memory.messages}
+    for message in sorted(state.memory.messages,
+                          key=lambda m: (m.loc, m.ts)):
+        attach = getattr(message, "attach", None)
+        if attach is not None and (message.loc, attach) not in named:
+            return (f"message {message.loc}@{message.ts} attaches to "
+                    f"{message.loc}@{attach}, which names no message")
+        lost = _missing_stamp(message.view, named)
+        if lost is not None:
+            return (f"message {message.loc}@{message.ts} view names "
+                    f"{lost} with no such message in memory")
+    return None
+
+
+def _renumbered(view, shifts):
+    """``view`` renumbered by a step's timestamp ``shifts``."""
+    for loc, k in shifts:
+        view = view.shift(loc, k)
+    return view
+
+
 def check_view_monotonic(prev_state, state, thread_index: int,
-                         ) -> Optional[str]:
-    """``psna.view.monotonic`` for the thread that stepped."""
-    before = prev_state.threads[thread_index].view
-    after = state.threads[thread_index].view
-    if not before.leq(after):
-        return (f"thread {thread_index} view shrank: "
-                f"{before!r} -> {after!r}")
-    if not prev_state.sc_view.leq(state.sc_view):
-        return (f"SC view shrank: {prev_state.sc_view!r} -> "
+                         shifts=()) -> Optional[str]:
+    """``psna.view.monotonic`` along one machine step.
+
+    The predecessor's views are first renumbered by the step's
+    ``shifts``; then the stepping thread's view and the SC view may only
+    grow, and every other thread keeps its renumbered view exactly (so a
+    missed renumbering shows up here).
+    """
+    for index, (old, new) in enumerate(zip(prev_state.threads,
+                                           state.threads)):
+        before = _renumbered(old.view, shifts)
+        if index != thread_index and before != new.view:
+            return (f"thread {index} did not step but its view changed: "
+                    f"{before!r} -> {new.view!r}")
+        if not before.leq(new.view):
+            return (f"thread {index} view shrank: "
+                    f"{before!r} -> {new.view!r}")
+    sc_before = _renumbered(prev_state.sc_view, shifts)
+    if not sc_before.leq(state.sc_view):
+        return (f"SC view shrank: {sc_before!r} -> "
                 f"{state.sc_view!r}")
+    return None
+
+
+def _missing_stamp(view, stamps) -> Optional[str]:
+    if view is None:
+        return None
+    for loc, ts in view.items:
+        if (loc, ts) not in stamps:
+            return f"{loc}@{ts}"
     return None
 
 
@@ -187,28 +250,19 @@ def check_view_in_memory(state) -> Optional[str]:
     """``psna.view.in-memory``: views never outrun the memory frontier.
 
     Sound as an exact membership test: every view timestamp originates
-    from a message at the same location, and messages are only ever
-    replaced in place (same location and timestamp), never deleted.
+    from a message at the same location, messages are never deleted,
+    and renumbering moves a view stamp together with its message.
     """
     stamps = {(m.loc, m.ts) for m in state.memory.messages}
-
-    def missing(view) -> Optional[str]:
-        if view is None:
-            return None
-        for loc, ts in view.items:
-            if (loc, ts) not in stamps:
-                return f"{loc}@{ts}"
-        return None
-
     for index, thread in enumerate(state.threads):
         views = [thread.view, thread.acq_pending, thread.rel_view]
         views += [view for _loc, view in thread.rel_views.items]
         for view in views:
-            lost = missing(view)
+            lost = _missing_stamp(view, stamps)
             if lost is not None:
                 return (f"thread {index} view names {lost} "
                         f"with no such message in memory")
-    lost = missing(state.sc_view)
+    lost = _missing_stamp(state.sc_view, stamps)
     if lost is not None:
         return f"SC view names {lost} with no such message in memory"
     return None
@@ -225,15 +279,20 @@ def check_promises_in_memory(state) -> Optional[str]:
 
 
 def check_promise_shrink(prev_state, state, thread_index: int,
-                         tag: str) -> Optional[str]:
+                         tag: str, shifts=()) -> Optional[str]:
     """``psna.promise.shrink``: per-tag promise-set transition table.
 
     ``promise`` adds exactly one message; ``lower`` replaces one promise
     at the same location/timestamp; every other rule may only remove
     promises (fulfillment, or the clears performed by ``fail`` and the
-    racy accesses).
+    racy accesses).  The predecessor's promises are compared after the
+    step's renumbering ``shifts``.
     """
+    from ..psna.memory import shift_messages
+
     before = prev_state.threads[thread_index].promises
+    for loc, k in shifts:
+        before = shift_messages(before, loc, k)
     after = state.threads[thread_index].promises
     if tag in _PROMISE_GROW_TAGS:
         if len(after) == len(before) + 1 and before <= after:
@@ -295,25 +354,6 @@ def check_store_divergence(thread, memory, cached: bool,
         return None
     return (f"persistent cert store returned {cached}, uncached "
             f"certification says {fresh}")
-
-
-def check_key_divergence(state, key, cache=None) -> Optional[str]:
-    """``cache.key-divergence``: a produced key vs. a fresh one.
-
-    Integer-encoded keys (``cache`` owns an interner) are decoded back
-    to the structural form first, so the comparison also exercises the
-    encode/decode round-trip of :mod:`repro.psna.intern`.
-    """
-    from ..psna.intern import decode_state
-    from ..psna.machine import _canonical_key, _identity
-
-    if cache is not None and getattr(cache, "interner", None) is not None \
-            and isinstance(key, int):
-        key = decode_state(key, cache.interner)
-    fresh = _canonical_key(state, _identity)
-    if fresh == key:
-        return None
-    return "KeyCache key differs from uncached canonicalization"
 
 
 def check_frontier_consistent(frontier, advanced: bool) -> Optional[str]:
@@ -485,7 +525,7 @@ class MonitorProbe:
 
     __slots__ = ("monitor", "scope", "config", "stride",
                  "divergence_stride", "_step_tick", "_game_tick",
-                 "_push_tick", "_cert_tick", "_key_tick", "_store_tick")
+                 "_push_tick", "_cert_tick", "_store_tick")
 
     def __init__(self, monitor: Monitor, scope: str, config=None) -> None:
         self.monitor = monitor
@@ -497,7 +537,6 @@ class MonitorProbe:
         self._game_tick = 0
         self._push_tick = 0
         self._cert_tick = 0
-        self._key_tick = 0
         self._store_tick = 0
 
     # -- PS^na -------------------------------------------------------------
@@ -516,8 +555,12 @@ class MonitorProbe:
         monitor.check("psna.memory.interval-disjoint",
                       check_interval_disjoint(state.memory),
                       scope=scope, state=state)
+        monitor.check("psna.state.canonical",
+                      check_canonical_state(state),
+                      scope=scope, state=state)
         monitor.check("psna.view.monotonic",
-                      check_view_monotonic(prev_state, state, info.thread),
+                      check_view_monotonic(prev_state, state, info.thread,
+                                           info.shifts),
                       scope=scope, state=state)
         monitor.check("psna.view.in-memory",
                       check_view_in_memory(state),
@@ -527,7 +570,7 @@ class MonitorProbe:
                       scope=scope, state=state)
         monitor.check("psna.promise.shrink",
                       check_promise_shrink(prev_state, state, info.thread,
-                                           info.tag),
+                                           info.tag, info.shifts),
                       scope=scope, state=state)
         if (info.tag == "choose" and not state.bottom
                 and state.threads[info.thread].promises
@@ -539,16 +582,6 @@ class MonitorProbe:
                           check_certified_promises(state, info.thread,
                                                    self.config),
                           scope=scope, state=state)
-
-    def state_key(self, state, key, cache=None) -> None:
-        """Sampled canonical-key divergence check (``cache`` supplies
-        the interner that decodes integer-encoded keys)."""
-        self._key_tick += 1
-        if self._key_tick % self.divergence_stride:
-            return
-        self.monitor.check("cache.key-divergence",
-                           check_key_divergence(state, key, cache),
-                           scope=self.scope, state=state)
 
     def cert_hit(self, thread, memory, cached: bool) -> None:
         """Sampled CertCache-hit divergence check (via
@@ -637,24 +670,30 @@ def inject_violation(monitor: Monitor, invariant_id: str) -> dict:
 
 
 def _corrupt_memory_duplicate():
-    from fractions import Fraction
-
     from ..psna.memory import Memory, Message
 
-    memory = Memory(frozenset({Message("x", Fraction(1), 0, None),
-                               Message("x", Fraction(1), 1, None)}))
+    memory = Memory(frozenset({Message("x", 1, 0, None),
+                               Message("x", 1, 1, None)}))
     return check_unique_timestamps(memory), memory
 
 
 def _corrupt_memory_interval():
-    from fractions import Fraction
-
     from ..psna.memory import Memory, Message
 
     memory = Memory(frozenset({
-        Message("x", Fraction(2), 0, None, attach=Fraction(0)),
-        Message("x", Fraction(1), 1, None)}))
+        Message("x", 2, 0, None, attach=0),
+        Message("x", 1, 1, None)}))
     return check_interval_disjoint(memory), memory
+
+
+def _corrupt_canonical():
+    from ..psna.machine import MachineState
+    from ..psna.memory import Memory, Message
+
+    # A gap at x@1: the rational-timestamp form a renaming would merge.
+    memory = Memory.initial({"x"}).add(Message("x", 2, 1, None))
+    state = MachineState(_synthetic_state().threads, memory)
+    return check_canonical_state(state), state
 
 
 def _synthetic_state(view=None, promises=frozenset(), sc_view=None):
@@ -670,42 +709,34 @@ def _synthetic_state(view=None, promises=frozenset(), sc_view=None):
 
 
 def _corrupt_view_monotonic():
-    from fractions import Fraction
-
     from ..psna.view import View
 
-    prev = _synthetic_state(view=View.of({"x": Fraction(0)}))
+    prev = _synthetic_state(view=View.of({"x": 0}))
     # The corrupted successor: the thread's view lost its x entry while
     # a second, fabricated previous state claims it had one.
-    before = _synthetic_state(view=View.of({"x": Fraction(1)}))
+    before = _synthetic_state(view=View.of({"x": 1}))
     return check_view_monotonic(before, prev, 0), prev
 
 
 def _corrupt_view_in_memory():
-    from fractions import Fraction
-
     from ..psna.view import View
 
-    state = _synthetic_state(view=View.of({"x": Fraction(5)}))
+    state = _synthetic_state(view=View.of({"x": 5}))
     return check_view_in_memory(state), state
 
 
 def _corrupt_promise_membership():
-    from fractions import Fraction
-
     from ..psna.memory import Message
 
-    orphan = Message("x", Fraction(7), 1, None)
+    orphan = Message("x", 7, 1, None)
     state = _synthetic_state(promises=frozenset({orphan}))
     return check_promises_in_memory(state), state
 
 
 def _corrupt_promise_shrink():
-    from fractions import Fraction
-
     from ..psna.memory import Message
 
-    grown = Message("x", Fraction(3), 1, None)
+    grown = Message("x", 3, 1, None)
     prev = _synthetic_state()
     state = _synthetic_state(promises=frozenset({grown}))
     return check_promise_shrink(prev, state, 0, "read"), state
@@ -713,15 +744,13 @@ def _corrupt_promise_shrink():
 
 def _stranded_promise_state():
     """A terminated thread still holding a promise: uncertifiable."""
-    from fractions import Fraction
-
     from ..lang.interp import WhileThread
     from ..lang.parser import parse
     from ..psna.machine import MachineState
     from ..psna.memory import Memory, Message
     from ..psna.thread import ThreadLts
 
-    promise = Message("x", Fraction(1), 1, None)
+    promise = Message("x", 1, 1, None)
     memory = Memory.initial({"x"}).add(promise)
     thread = ThreadLts(program=WhileThread.start(parse("return 0;")),
                        promises=frozenset({promise}))
@@ -754,11 +783,6 @@ def _corrupt_store_divergence():
                                    PsConfig()), state)
 
 
-def _corrupt_key_divergence():
-    state = _synthetic_state()
-    return check_key_divergence(state, ("corrupt",)), state
-
-
 def _corrupt_frontier():
     from ..seq.refinement import _Item
 
@@ -785,6 +809,7 @@ def _corrupt_pass_record():
 _INJECTORS = {
     "psna.memory.unique-timestamps": _corrupt_memory_duplicate,
     "psna.memory.interval-disjoint": _corrupt_memory_interval,
+    "psna.state.canonical": _corrupt_canonical,
     "psna.view.monotonic": _corrupt_view_monotonic,
     "psna.view.in-memory": _corrupt_view_in_memory,
     "psna.promise.subset-memory": _corrupt_promise_membership,
@@ -792,7 +817,6 @@ _INJECTORS = {
     "psna.cert.fulfillable": _corrupt_cert_fulfillable,
     "cache.cert-divergence": _corrupt_cert_divergence,
     "cache.store-divergence": _corrupt_store_divergence,
-    "cache.key-divergence": _corrupt_key_divergence,
     "seq.frontier.consistent": _corrupt_frontier,
     "seq.simulation.step": _corrupt_simulation_step,
     "opt.pass.consistent": _corrupt_pass_record,

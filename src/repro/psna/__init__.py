@@ -1,10 +1,8 @@
 """PS^na — the promising semantics with non-atomics (§5) and baselines."""
 
-from .view import BOT, Time, View, ZERO, fresh_between, join_opt, view_leq_opt
+from .view import BOT, Time, View, ZERO, join_opt, view_leq_opt
 from .memory import AnyMessage, Memory, Message, NAMessage
 from .semantics import SEMANTICS_VERSION
-from .intern import Interner, decode_cert, decode_state, intern_cert, \
-    intern_state
 from .certstore import CertStore, cert_digest, config_fingerprint
 from .thread import (
     PsConfig,
@@ -15,12 +13,13 @@ from .thread import (
 )
 from .machine import (
     CertCache,
-    KeyCache,
     MachineState,
     canonical_key,
     certifiable,
     certification_key,
     initial_state,
+    intern_cert,
+    intern_state,
     machine_steps,
     written_locations,
 )
@@ -36,17 +35,14 @@ from .refinement import PsVerdict, check_psna_refinement
 from .drf import ScExploration, explore_sc, promise_free_config
 
 __all__ = [
-    "BOT", "Time", "View", "ZERO", "fresh_between", "join_opt",
-    "view_leq_opt",
+    "BOT", "Time", "View", "ZERO", "join_opt", "view_leq_opt",
     "AnyMessage", "Memory", "Message", "NAMessage",
     "SEMANTICS_VERSION",
-    "Interner", "decode_cert", "decode_state", "intern_cert",
-    "intern_state",
     "CertStore", "cert_digest", "config_fingerprint",
     "PsConfig", "ThreadLts", "ThreadStep", "is_racy", "thread_steps",
-    "CertCache", "KeyCache", "MachineState", "canonical_key",
-    "certifiable", "certification_key", "initial_state",
-    "machine_steps", "written_locations",
+    "CertCache", "MachineState", "canonical_key",
+    "certifiable", "certification_key", "initial_state", "intern_cert",
+    "intern_state", "machine_steps", "written_locations",
     "Exploration", "PsBehavior", "PsBottom", "PsResult", "behavior_leq",
     "explore",
     "PsVerdict", "check_psna_refinement",

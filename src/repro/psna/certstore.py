@@ -8,8 +8,9 @@ suite, the fuzz nightly, and ``--jobs`` spawn workers.
 Keying
     An entry is ``(canonical state digest, semantics version, PsConfig
     fingerprint)``.  The digest (:func:`cert_digest`) is a BLAKE2b hash
-    of the *structural* certification key — the renaming-invariant
-    object form from :func:`repro.psna.machine.certification_key`, with
+    of the *structural* certification key — the plain-tuple form from
+    :func:`repro.psna.machine.certification_key` (dense timestamps make
+    it renaming-invariant), with
     thread programs replaced by their deterministic ``repr`` — mixed
     with the config fingerprint (:func:`config_fingerprint`, every
     semantics-relevant ``PsConfig`` field).  The semantics version
@@ -64,8 +65,8 @@ COMPACT_SEGMENTS = 16
 #: fields future PRs add) lands in the fingerprint automatically, so a
 #: new semantic knob invalidates old entries by construction.
 _FINGERPRINT_SKIP = frozenset({
-    "enable_cert_cache", "enable_key_cache", "intern_states",
-    "enable_cert_store", "certifying", "max_states", "max_depth",
+    "enable_cert_cache", "enable_cert_store", "certifying", "max_states",
+    "max_depth",
 })
 
 _DIGEST_SIZE = 16  # bytes; 32 hex chars per entry line
@@ -100,9 +101,8 @@ def cert_digest(structural_key, fingerprint: str) -> Optional[str]:
     """The on-disk key for one certification verdict, or ``None`` when
     the pair has no stable cross-process encoding.
 
-    ``structural_key`` is the object-path form from
-    :func:`repro.psna.machine.certification_key` (or the decoded
-    integer encoding, which is identical by construction).
+    ``structural_key`` is the form from
+    :func:`repro.psna.machine.certification_key`.
     """
     thread_key, promise_locs, memory_key = structural_key
     program = stable_program_repr(thread_key[0])

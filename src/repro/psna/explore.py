@@ -23,13 +23,10 @@ from ..lang.ast import Stmt
 from ..lang.itree import ThreadState
 from ..lang.values import Value, value_leq
 from ..obs.events import STATE_EVENT_INTERVAL
-from . import certstore
-from .intern import Interner
+from . import certstore, machine
 from .machine import (
     CertCache,
-    KeyCache,
     MachineState,
-    canonical_key,
     initial_state,
     labeled_machine_steps,
     machine_steps,
@@ -86,6 +83,10 @@ class Exploration:
     non-terminal states (e.g. unfulfillable promises) is *complete* —
     those states contribute no behavior by Def 5.2 — and is reported via
     ``stuck_states`` instead.
+
+    ``key_cache_hits``/``key_cache_misses`` count the dedup-set probes:
+    every generated successor plus the initial state, split by whether
+    the state was already seen.
     """
 
     behaviors: set[PsResult]
@@ -146,21 +147,14 @@ def explore(programs: list[Stmt | ThreadState],
 def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
              locations: Optional[set[str]]) -> Exploration:
     start = initial_state(programs, config, locations)
-    # One interner backs both caches (they share location/view/message
-    # entries); the persistent verdict store is consulted only when one
-    # is bound for the process and the config allows it.
-    interner = Interner() if config.intern_states else None
+    # The persistent verdict store is consulted only when one is bound
+    # for the process and the config allows it.
     store = certstore.active() if config.enable_cert_store else None
-    cert_cache = CertCache(interner, store=store,
-                           encoded=config.intern_states) \
-        if config.enable_cert_cache else None
-    key_cache = KeyCache(interner, encoded=config.intern_states) \
-        if config.enable_key_cache else None
-    if key_cache is not None:
-        key_cache.timed = obs.metrics() is not None
+    cert_cache = CertCache(store) if config.enable_cert_cache else None
+    # Looked up per run, not imported: tracing tools patch the module.
+    state_key = machine.intern_state
     behaviors: set[PsResult] = set()
-    with obs.span("psna.intern"):
-        start_key = canonical_key(start, key_cache)
+    start_key = state_key(start)
     seen = {start_key}
     stack: list[tuple[MachineState, int]] = [(start, config.max_depth)]
     states = 0
@@ -216,7 +210,7 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
             progressed = False
             for successor in machine_steps(state, config, cert_cache):
                 progressed = True
-                key = canonical_key(successor, key_cache)
+                key = state_key(successor)
                 if key not in seen:
                     seen.add(key)
                     dedup_misses += 1
@@ -229,8 +223,7 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
             cur_depth = config.max_depth - depth
             src_id = -1
             if builder is not None:
-                src_id = builder.node_id(canonical_key(state, key_cache),
-                                         cur_depth)
+                src_id = builder.node_id(state_key(state), cur_depth)
             if stream is not None and states % STATE_EVENT_INTERVAL == 0:
                 stream.emit("state", span="psna.explore", states=states,
                             frontier=len(stack), behaviors=len(behaviors))
@@ -257,10 +250,9 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
                 rule = _rule_id(info)
                 if stream is not None:
                     stream.last_rule = rule
-                key = canonical_key(info.state, key_cache)
+                key = state_key(info.state)
                 if probe is not None:
                     probe.machine_step(state, info)
-                    probe.state_key(info.state, key, key_cache)
                 if builder is not None:
                     dst_id, _new = builder.node(key, cur_depth + 1)
                     builder.edge(src_id, dst_id, rule)
@@ -297,11 +289,6 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
                          builder.dedup_hits)
             registry.inc("graph.psna.explore.dedup_misses",
                          builder.dedup_misses)
-    registry = obs.metrics()
-    if registry is not None and key_cache is not None \
-            and key_cache.interner is not None:
-        registry.observe("span.psna.intern.encode", key_cache.encode_s)
-        registry.inc("psna.intern.entries", len(key_cache.interner))
     reason = (STATE_BOUND if state_bound_hit
               else DEPTH_BOUND if depth_bound_hit else None)
     return Exploration(
@@ -311,8 +298,8 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
         peak_frontier=peak_frontier,
         cert_cache_hits=cert_cache.hits if cert_cache else 0,
         cert_cache_misses=cert_cache.misses if cert_cache else 0,
-        key_cache_hits=key_cache.hits if key_cache else 0,
-        key_cache_misses=key_cache.misses if key_cache else 0)
+        key_cache_hits=dedup_hits,
+        key_cache_misses=dedup_misses + 1)
 
 
 def behavior_leq(target: PsResult, source: PsResult) -> bool:

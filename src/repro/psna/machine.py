@@ -11,17 +11,16 @@ configurations as the paper's multi-step rule: any multi-step sequence
 splits into single steps, and the certification run of an intermediate
 state can replay the remaining steps of the sequence.
 
-States are canonicalized (per-location timestamp renaming) before being
-memoized, so exploration is insensitive to the concrete rationals chosen
-for fresh messages.
+Timestamps are dense per-location ranks (:mod:`repro.psna.view`), so
+every reachable state is already the canonical representative of its
+timestamp-renaming class: exploration deduplicates states as values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterator, Optional
-
-from time import perf_counter
 
 from .. import obs
 from ..lang.ast import Stmt, walk
@@ -32,10 +31,9 @@ from ..lang.itree import FenceAction, SyscallAction, ThreadState
 from ..lang.events import FenceKind
 from ..lang.values import Value
 from .certstore import CertStore, cert_digest, config_fingerprint
-from .intern import Interner, decode_cert, intern_cert, intern_state
-from .memory import AnyMessage, Memory, Message, NAMessage
-from .thread import PsConfig, ThreadLts, ThreadStep, thread_steps
-from .view import View
+from .memory import AnyMessage, Memory, NAMessage
+from .thread import PsConfig, ThreadLts, thread_steps
+from .view import Time, View
 
 
 @dataclass(frozen=True)
@@ -54,24 +52,6 @@ class MachineState:
     def return_values(self) -> tuple[Value, ...]:
         return tuple(thread.return_value() for thread in self.threads)
 
-    # Machine states are hashed on every ``KeyCache.states`` probe and
-    # ``seen``-set membership test; the dataclass-generated hash re-walks
-    # the whole object graph each time.  Cache it — every field is
-    # immutable.  The cached value is process-local (string hashing is
-    # randomized per process), so it is dropped when pickling.
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.threads, self.memory, self.sc_view,
-                           self.syscalls, self.bottom))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
     def evolve(self, **changes) -> "MachineState":
         """``dataclasses.replace`` without the per-call field
         introspection (see :meth:`ThreadLts.evolve`)."""
@@ -81,6 +61,13 @@ class MachineState:
             changes.get("sc_view", self.sc_view),
             changes.get("syscalls", self.syscalls),
             changes.get("bottom", self.bottom))
+
+    def shift(self, loc: str, k: Time) -> "MachineState":
+        """Every thread and the SC view renumbered for an insertion at
+        ``loc@k`` (the memory is renumbered by :meth:`Memory.insert`)."""
+        return self.evolve(
+            threads=tuple(thread.shift(loc, k) for thread in self.threads),
+            sc_view=self.sc_view.shift(loc, k))
 
 
 def written_locations(program: Stmt) -> tuple[str, ...]:
@@ -123,13 +110,11 @@ def initial_state(programs: list[Stmt | ThreadState],
 class CertCache:
     """Per-exploration memoization of :func:`certifiable` outcomes.
 
-    Keyed on the canonicalized ``(thread, memory)`` pair — the interned
-    integer form (:func:`repro.psna.intern.intern_cert`) when the cache
-    owns an :class:`~repro.psna.intern.Interner`, the structural
-    object form (:func:`certification_key`) otherwise — so candidate
-    successors that differ only in the concrete rationals chosen for
-    fresh timestamps share one certification search.  Entries are never
-    evicted: ``ThreadLts`` and ``Memory`` are immutable, and
+    Keyed on the ``(thread, memory.messages)`` pair itself
+    (:func:`intern_cert`): with dense timestamps every pair is already
+    canonical, so candidate successors that reach the same pair by
+    different insertions share one certification search.  Entries are
+    never evicted: ``ThreadLts`` and ``Memory`` are immutable, and
     certification is a pure function of the pair for a fixed
     :class:`PsConfig` — the in-memory cache is therefore only valid for
     the single exploration (single config) that owns it.
@@ -142,12 +127,10 @@ class CertCache:
     with a cold store, a warm store, or no store at all.
     """
 
-    __slots__ = ("entries", "steps", "hits", "misses", "monitor", "interner",
-                 "store", "fingerprint")
+    __slots__ = ("entries", "steps", "hits", "misses", "monitor", "store",
+                 "fingerprint")
 
-    def __init__(self, interner: Optional[Interner] = None,
-                 store: Optional[CertStore] = None,
-                 encoded: bool = True) -> None:
+    def __init__(self, store: Optional[CertStore] = None) -> None:
         self.entries: dict[object, bool] = {}
         #: Cross-search memo of certification successor expansions:
         #: ``(thread, memory.messages) -> ((thread', memory'), ...)``.
@@ -163,24 +146,25 @@ class CertCache:
         #: a sampled fraction of in-memory and store hits is re-certified
         #: uncached and compared against the memoized verdict.
         self.monitor = None
-        self.interner = (interner if interner is not None else Interner()) \
-            if encoded else None
         self.store = store
         self.fingerprint: Optional[str] = None  # lazily, from the config
 
-    def key(self, thread: ThreadLts, memory: Memory):
-        if self.interner is not None:
-            return intern_cert(thread, memory, self.interner)
-        return certification_key(thread, memory)
-
-    def digest(self, key, config: PsConfig) -> Optional[str]:
-        """The persistent-store digest for a cache key (``None`` when the
+    def digest(self, thread: ThreadLts, memory: Memory,
+               config: PsConfig) -> Optional[str]:
+        """The persistent-store digest for a pair (``None`` when the
         pair has no stable cross-process encoding)."""
         if self.fingerprint is None:
             self.fingerprint = config_fingerprint(config)
-        structural = (decode_cert(key, self.interner)
-                      if self.interner is not None else key)
-        return cert_digest(structural, self.fingerprint)
+        return cert_digest(certification_key(thread, memory),
+                           self.fingerprint)
+
+
+@lru_cache(maxsize=64)
+def _certifying(config: PsConfig) -> PsConfig:
+    """The config certification runs under: built once per config."""
+    return replace(config, certifying=True,
+                   allow_promises=config.cert_promises
+                   and config.allow_promises)
 
 
 def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
@@ -204,7 +188,7 @@ def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
     store = None
     digest = None
     if cache is not None:
-        key = cache.key(thread, memory)
+        key = intern_cert(thread, memory)
         cached = cache.entries.get(key)
         if cached is not None:
             cache.hits += 1
@@ -218,7 +202,7 @@ def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
         cache.misses += 1
         store = cache.store
         if store is not None:
-            digest = cache.digest(key, config)
+            digest = cache.digest(thread, memory, config)
             if digest is not None:
                 cached = store.get(digest)
                 registry = obs.metrics()
@@ -236,9 +220,7 @@ def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
                     return cached
                 if registry is not None:
                     registry.inc("psna.cert.store_misses")
-    cert_config = replace(config, certifying=True,
-                          allow_promises=config.cert_promises
-                          and config.allow_promises)
+    cert_config = _certifying(config)
     seen: set = set()
     stack: list[tuple[ThreadLts, Memory, int]] = [
         (thread, memory, config.cert_depth)]
@@ -302,13 +284,16 @@ class MachineStepInfo:
     tag), or ``"sc-fence"`` / ``"machine-failure"`` for the two
     machine-level rules without a thread-step counterpart.  For failure
     steps ``cause`` names the thread rule that reached ⊥ (typically a
-    ``racy-*`` access).
+    ``racy-*`` access).  ``shifts`` are the step's timestamp
+    renumberings (:attr:`ThreadStep.shifts`): the predecessor, shifted
+    by them, is directly comparable with ``state``.
     """
 
     thread: int
     tag: str
     state: MachineState
     cause: Optional[str] = None
+    shifts: tuple[tuple[str, Time], ...] = ()
 
 
 #: Machine-level rule IDs (``psna.machine.*`` / ``psna.cert.*``) for the
@@ -377,12 +362,16 @@ def labeled_machine_steps(state: MachineState, config: PsConfig,
                 syscalls = syscalls + ((action.name, action.value),)
             if registry is not None:
                 registry.inc("rule.psna.machine.normal")
+            moved = state
+            for loc, k in step.shifts:
+                moved = moved.shift(loc, k)
             yield MachineStepInfo(
                 index, step.tag,
-                state.evolve(
-                        threads=_set(state.threads, index, step.thread),
+                moved.evolve(
+                        threads=_set(moved.threads, index, step.thread),
                         memory=step.memory,
-                        syscalls=syscalls))
+                        syscalls=syscalls),
+                shifts=step.shifts)
 
 
 def _set(threads: tuple[ThreadLts, ...], index: int,
@@ -391,21 +380,19 @@ def _set(threads: tuple[ThreadLts, ...], index: int,
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization
+# Keys
 # ---------------------------------------------------------------------------
 
 
-def _timestamp_ranks(memory: Memory) -> dict[tuple[str, object], int]:
-    """Per-location dense ranks of the memory's timestamps (one pass)."""
-    by_loc: dict[str, list] = {}
-    for message in memory.messages:
-        by_loc.setdefault(message.loc, []).append(message.ts)
-    rank: dict[tuple[str, object], int] = {}
-    for loc, stamps in by_loc.items():
-        stamps.sort()
-        for index, ts in enumerate(stamps):
-            rank[(loc, ts)] = index
-    return rank
+def intern_state(state: MachineState):
+    """The explorer's dedup key: the state itself (dense timestamps make
+    it canonical), and one key for every ⊥ state with the same trace."""
+    return ("⊥", state.syscalls) if state.bottom else state
+
+
+def intern_cert(thread: ThreadLts, memory: Memory):
+    """The :class:`CertCache` key of a certification pair."""
+    return (thread, memory.messages)
 
 
 def _value_key(value: Value):
@@ -415,134 +402,52 @@ def _value_key(value: Value):
     return (1, 0)  # undef — the only non-int value
 
 
-def _view_key(view: Optional[View], rank):
+def _view_key(view: Optional[View]):
     if view is None:
         return ("bot",)
-    return ("view",) + tuple((loc, rank.get((loc, ts), -1))
-                             for loc, ts in view.items)
+    return ("view",) + view.items
 
 
-def _message_key(message: AnyMessage, rank):
+def _message_key(message: AnyMessage):
     if isinstance(message, NAMessage):
-        return ("na", message.loc, rank[(message.loc, message.ts)])
-    attach = (-1 if message.attach is None
-              else rank.get((message.loc, message.attach), -2))
-    return ("msg", message.loc, rank[(message.loc, message.ts)],
-            _value_key(message.value), _view_key(message.view, rank), attach)
+        return ("na", message.loc, message.ts)
+    attach = -1 if message.attach is None else message.attach
+    return ("msg", message.loc, message.ts, _value_key(message.value),
+            _view_key(message.view), attach)
 
 
-def _thread_key(thread: ThreadLts, rank):
-    return (thread.program, _view_key(thread.view, rank),
-            tuple(sorted(_message_key(m, rank) for m in thread.promises)),
-            _view_key(thread.acq_pending, rank),
-            _view_key(thread.rel_view, rank),
-            tuple((loc, _view_key(view, rank))
+def _thread_key(thread: ThreadLts):
+    return (thread.program, _view_key(thread.view),
+            tuple(sorted(_message_key(m) for m in thread.promises)),
+            _view_key(thread.acq_pending), _view_key(thread.rel_view),
+            tuple((loc, _view_key(view))
                   for loc, view in thread.rel_views.items),
             thread.promise_budget)
 
 
+def _memory_key(memory: Memory):
+    return tuple(sorted(_message_key(m) for m in memory.messages))
+
+
 def certification_key(thread: ThreadLts, memory: Memory):
-    """The :class:`CertCache` key: canonicalized ``(thread, memory)``.
+    """The structural form of a certification pair — what the persistent
+    store digests (:func:`repro.psna.certstore.cert_digest`).
 
-    Invariant under per-location order-isomorphic renaming of
-    timestamps — every rule of the thread LTS only *compares* timestamps
-    and inserts between adjacent ones, so canonically-equal pairs have
-    isomorphic certification searches.  ``promise_locs`` is included
-    because promise steps (``config.cert_promises``) depend on it.
+    A timestamp's rank is the timestamp itself.  ``promise_locs`` is
+    included because promise steps (``config.cert_promises``) depend on
+    it.
     """
-    rank = _timestamp_ranks(memory)
-    memory_key = tuple(sorted(_message_key(m, rank)
-                              for m in memory.messages))
-    return (_thread_key(thread, rank), thread.promise_locs, memory_key)
+    return (_thread_key(thread), thread.promise_locs, _memory_key(memory))
 
 
-class KeyCache:
-    """Per-exploration canonical-key cache over the interned encoding.
+def canonical_key(state: MachineState):
+    """The structural form of a state: plain tuples, strings and ints.
 
-    ``states`` memoizes :func:`canonical_key` per value-equal
-    ``MachineState`` — successors generated through different
-    interleavings and then deduplicated pay one hash instead of a full
-    re-canonicalization.  By default the cache owns an
-    :class:`~repro.psna.intern.Interner` and every key is a single
-    ``int`` (the integer-encoded canonical form); with
-    ``encoded=False`` it falls back to the PR 3 object path, where
-    ``intern`` maps every produced sub-key tuple to its first instance.
-    Like :class:`CertCache`, entries are never evicted (states are
-    immutable) and the cache lives for a single exploration run.
-
-    ``encode_s`` accumulates time spent producing keys on cache misses
-    when ``timed`` is set (explorations running under an observability
-    session set it); the explorer flushes it into the
-    ``span.psna.intern.encode`` histogram so interning cost shows up in
-    the ``--profile`` span table alongside the other timing spans.
+    Equal exactly when the states are equal as dedup keys
+    (:func:`intern_state`); the explainer and the property tests use it.
     """
-
-    __slots__ = ("states", "_interned", "interner", "hits", "misses",
-                 "timed", "encode_s")
-
-    def __init__(self, interner: Optional[Interner] = None,
-                 encoded: bool = True) -> None:
-        self.states: dict[MachineState, object] = {}
-        self._interned: dict = {}
-        self.interner = (interner if interner is not None else Interner()) \
-            if encoded else None
-        self.hits = 0
-        self.misses = 0
-        self.timed = False
-        self.encode_s = 0.0
-
-    def intern(self, key):
-        return self._interned.setdefault(key, key)
-
-
-def canonical_key(state: MachineState, cache: Optional[KeyCache] = None):
-    """A hashable key invariant under per-location timestamp renaming.
-
-    Without a cache: the structural object form (what the explainer and
-    the divergence oracles compare against).  With a :class:`KeyCache`:
-    memoized per state value, and — unless the cache was built with
-    ``encoded=False`` — a single interned ``int`` whose
-    :func:`repro.psna.intern.decode_state` equals the structural form.
-    """
-    if cache is None:
-        return _canonical_key(state, _identity)
-    key = cache.states.get(state)
-    if key is not None:
-        cache.hits += 1
-        return key
-    cache.misses += 1
-    interner = cache.interner
-    if interner is None:
-        key = cache.intern(_canonical_key(state, cache.intern))
-    elif cache.timed:
-        started = perf_counter()
-        key = intern_state(state, interner)
-        cache.encode_s += perf_counter() - started
-    else:
-        key = intern_state(state, interner)
-    cache.states[state] = key
-    return key
-
-
-def _identity(key):
-    return key
-
-
-def _canonical_key(state: MachineState, intern):
     if state.bottom:
         return ("⊥", state.syscalls)
-    rank = _timestamp_ranks(state.memory)
-    memory_key = intern(tuple(sorted(
-        intern(_message_key(m, rank)) for m in state.memory.messages)))
-    threads_key = tuple(
-        intern((thread.program, intern(_view_key(thread.view, rank)),
-                tuple(sorted(intern(_message_key(m, rank))
-                             for m in thread.promises)),
-                intern(_view_key(thread.acq_pending, rank)),
-                intern(_view_key(thread.rel_view, rank)),
-                tuple((loc, intern(_view_key(view, rank)))
-                      for loc, view in thread.rel_views.items),
-                thread.promise_budget))
-        for thread in state.threads)
-    return (threads_key, memory_key,
-            intern(_view_key(state.sc_view, rank)), state.syscalls)
+    return (tuple(_thread_key(thread) for thread in state.threads),
+            _memory_key(state.memory), _view_key(state.sc_view),
+            state.syscalls)

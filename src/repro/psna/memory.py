@@ -9,6 +9,12 @@ Memory is a set of timestamped messages:
   paper for race detection (their view is ⊥ by definition).
 
 The initial memory holds ``⟨x@0, 0, ⊥⟩`` for every location.
+
+Timestamps are dense per-location ranks (see :mod:`repro.psna.view`):
+the ``n`` messages of a location carry stamps ``0..n-1``.  The stepper
+adds messages with :meth:`Memory.insert`, which renumbers the stamps at
+and above the new message's slot; :meth:`Memory.add` places a message at
+exactly the stamp it names, for building states by hand.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from ..lang.values import Value
-from .view import Time, View, ZERO, fresh_between
+from .view import Time, View, ZERO, shift_opt
 
 
 @dataclass(frozen=True)
@@ -28,7 +34,7 @@ class Message:
     ``(attach, ts]`` the message occupies.  RMWs attach their write to the
     message they read (PS represents this with timestamp ranges); no other
     message may be inserted inside an occupied interval, which is what
-    makes RMWs atomic.
+    makes RMWs atomic.  With dense stamps, ``attach == ts - 1``.
     """
 
     loc: str
@@ -42,22 +48,17 @@ class Message:
         attach = f"({self.attach}," if self.attach is not None else ""
         return f"⟨{self.loc}@{attach}{self.ts},{self.value},{view}⟩"
 
-    def __hash__(self) -> int:
-        # Messages live in frozensets that the certification search
-        # hashes constantly; Fraction timestamps make the generated
-        # dataclass hash expensive.  Cached on first use, dropped on
-        # pickling (string hashes are salted per process).
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.loc, self.ts, self.value, self.view,
-                           self.attach))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    def shift(self, loc: str, k: Time) -> "Message":
+        """Renumber for an insertion at ``loc@k`` (see :meth:`View.shift`)."""
+        view = shift_opt(self.view, loc, k)
+        if self.loc != loc or self.ts < k:
+            if view is self.view:
+                return self
+            return Message(self.loc, self.ts, self.value, view, self.attach)
+        attach = self.attach
+        if attach is not None and attach >= k:
+            attach += 1
+        return Message(loc, self.ts + 1, self.value, view, attach)
 
 
 @dataclass(frozen=True)
@@ -74,20 +75,22 @@ class NAMessage:
     def __repr__(self) -> str:
         return f"⟨{self.loc}@{self.ts}⟩na"
 
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.loc, self.ts))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    def shift(self, loc: str, k: Time) -> "NAMessage":
+        if self.loc != loc or self.ts < k:
+            return self
+        return NAMessage(loc, self.ts + 1)
 
 
 AnyMessage = Message | NAMessage
+
+
+def shift_messages(messages: frozenset[AnyMessage], loc: str,
+                   k: Time) -> frozenset[AnyMessage]:
+    """Every message renumbered for an insertion at ``loc@k``."""
+    shifted = [m.shift(loc, k) for m in messages]
+    if all(new is old for new, old in zip(shifted, messages)):
+        return messages
+    return frozenset(shifted)
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,8 @@ class Memory:
             Message(loc, ZERO, 0, None) for loc in sorted(set(locs))))
 
     def add(self, message: AnyMessage) -> "Memory":
+        """Place ``message`` at exactly the stamp it names (no
+        renumbering): for building states by hand."""
         if any(m.ts == message.ts for m in self.at(message.loc)):
             raise ValueError(
                 f"timestamp collision at {message.loc}@{message.ts}")
@@ -110,6 +115,18 @@ class Memory:
                 f"timestamp {message.loc}@{message.ts} lies inside an "
                 f"RMW-occupied interval")
         return Memory(self.messages | {message})
+
+    def insert(self, message: AnyMessage) -> "Memory":
+        """Insert ``message`` into slot ``message.ts`` of its location:
+        the stamps ``≥ message.ts`` move up by one first.  The slot must
+        come from :meth:`fresh_slots` (or be an RMW's adjacent slot),
+        and ``message`` must already be expressed in the renumbered
+        stamps."""
+        loc, k = message.loc, message.ts
+        messages = self.messages
+        if k <= self.max_ts(loc):
+            messages = shift_messages(messages, loc, k)
+        return Memory(messages | {message})
 
     def blocked(self, loc: str, ts: Time) -> bool:
         """Is ``ts`` strictly inside an occupied interval of ``loc``?"""
@@ -128,9 +145,8 @@ class Memory:
         """Messages of ``loc`` sorted by timestamp.
 
         Memoized per (memory, location): the race helper and every read
-        / write rule re-scan the same immutable memory, and sorting
-        Fraction timestamps repeatedly dominated the stepper.  The
-        cache is process-local and dropped when pickling.
+        / write rule re-scan the same immutable memory.  The cache is
+        process-local and dropped when pickling.
         """
         cache = self.__dict__.get("_at")
         if cache is None:
@@ -155,25 +171,30 @@ class Memory:
         return state
 
     def max_ts(self, loc: str) -> Time:
-        stamps = self.timestamps(loc)
-        return stamps[-1] if stamps else ZERO
+        stamps = self.at(loc)
+        return stamps[-1].ts if stamps else ZERO
 
     def fresh_slots(self, loc: str, above: Time) -> Iterator[Time]:
-        """Candidate fresh timestamps for ``loc`` strictly above ``above``.
+        """Slots for a fresh message of ``loc`` strictly above ``above``.
 
-        One slot between every pair of adjacent existing timestamps above
-        ``above`` (plus directly above ``above`` if a message sits between)
-        and one beyond the maximum.  Up to renaming of timestamps, every
-        insertion point is covered — the exploration canonicalizes states,
-        so this enumeration is exhaustive for the bounded model checker.
+        One slot directly above ``above`` and directly above every
+        existing stamp beyond it — that is, one per gap between adjacent
+        stamps, plus one past the maximum — skipping gaps inside an
+        RMW-occupied interval.  A slot is the stamp the new message
+        takes under :meth:`insert`.  Every order-isomorphic insertion
+        point is covered exactly once, so the enumeration is exhaustive.
         """
-        stamps = [ts for ts in self.timestamps(loc)]
-        cuts = sorted({above, *[ts for ts in stamps if ts > above]})
-        for lower, upper in zip(cuts, cuts[1:]):
-            slot = fresh_between(lower, upper)
-            if not self.blocked(loc, slot):
-                yield slot
-        yield fresh_between(cuts[-1], None)
+        lower = above
+        for m in self.at(loc):
+            if m.ts <= above:
+                continue
+            # The gap (lower, m.ts) is occupied iff m is an RMW write
+            # attached at or below ``lower``.
+            if not (isinstance(m, Message) and m.attach is not None
+                    and m.attach <= lower):
+                yield lower + 1
+            lower = m.ts
+        yield lower + 1
 
     def locations(self) -> frozenset[str]:
         return frozenset(m.loc for m in self.messages)

@@ -26,7 +26,7 @@ writes attach to their messages).  SC fences are handled by the machine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .. import obs
@@ -47,8 +47,9 @@ from ..lang.itree import (
 )
 from ..lang.values import UNDEF, Value
 from ..util.fmap import FrozenMap
-from .memory import AnyMessage, Memory, Message, NAMessage
-from .view import View, fresh_between, join_opt
+from .memory import AnyMessage, Memory, Message, NAMessage, \
+    shift_messages
+from .view import Time, View, join_opt, shift_opt
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,12 @@ class PsConfig:
     certifying: bool = False  # internal: set during certification runs
     max_states: int = 200_000
     max_depth: int = 400
-    # Performance-layer switches.  All are semantics-preserving
+    # Performance-layer switches.  Both are semantics-preserving
     # (tests assert behavior equality with them off); the switches exist
-    # for ablation benchmarks and correctness tests.  ``intern_states``
-    # selects the integer-encoded canonical keys (repro.psna.intern);
+    # for ablation benchmarks and correctness tests.
     # ``enable_cert_store`` lets the exploration consult the bound
     # persistent verdict store (repro.psna.certstore), when one is bound.
     enable_cert_cache: bool = True
-    enable_key_cache: bool = True
-    intern_states: bool = True
     enable_cert_store: bool = True
 
     def promise_values(self) -> tuple[Value, ...]:
@@ -121,25 +119,6 @@ class ThreadLts:
     def return_value(self) -> Value:
         return self.program.return_value()
 
-    # Thread states are hashed constantly (certification ``seen`` sets,
-    # machine-state hashing, cache keys); the dataclass-generated hash
-    # re-walks every field each call.  Cache it — all fields are
-    # immutable.  The cached value is process-local (string hashes are
-    # randomized per process), so it is dropped on pickling.
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.program, self.view, self.promises,
-                           self.acq_pending, self.rel_view, self.rel_views,
-                           self.promise_budget, self.promise_locs))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
     def evolve(self, **changes) -> "ThreadLts":
         """``dataclasses.replace`` without the per-call field
         introspection — the stepper's hottest allocation site."""
@@ -152,6 +131,27 @@ class ThreadLts:
             changes.get("rel_views", self.rel_views),
             changes.get("promise_budget", self.promise_budget),
             changes.get("promise_locs", self.promise_locs))
+
+    def shift(self, loc: str, k: Time) -> "ThreadLts":
+        """Renumber for a message inserted at ``loc@k`` (see
+        :meth:`repro.psna.view.View.shift`); ``self`` when unaffected."""
+        view = self.view.shift(loc, k)
+        promises = shift_messages(self.promises, loc, k)
+        acq_pending = shift_opt(self.acq_pending, loc, k)
+        rel_view = shift_opt(self.rel_view, loc, k)
+        rel_views = self.rel_views
+        shifted = tuple((key, value.shift(loc, k))
+                        for key, value in rel_views.items)
+        if any(new is not old for (_, new), (_, old)
+               in zip(shifted, rel_views.items)):
+            rel_views = FrozenMap(shifted)
+        if (view is self.view and promises is self.promises
+                and acq_pending is self.acq_pending
+                and rel_view is self.rel_view
+                and rel_views is self.rel_views):
+            return self
+        return ThreadLts(self.program, view, promises, acq_pending, rel_view,
+                         rel_views, self.promise_budget, self.promise_locs)
 
 
 def is_racy(view: View, promises: frozenset[AnyMessage], memory: Memory,
@@ -172,6 +172,15 @@ def is_racy(view: View, promises: frozenset[AnyMessage], memory: Memory,
     return False
 
 
+def _slot(thread: ThreadLts, memory: Memory, loc: str,
+          k: Time) -> tuple[ThreadLts, tuple[tuple[str, Time], ...]]:
+    """The thread renumbered for an insertion at ``loc@k`` (see
+    :meth:`Memory.insert`), and the step's shift record."""
+    if k > memory.max_ts(loc):
+        return thread, ()  # past the maximum: nothing moves
+    return thread.shift(loc, k), ((loc, k),)
+
+
 def _promise_condition(thread: ThreadLts) -> bool:
     """``∀m ∈ P. V(m.loc) < m.t`` — required by racy-write and fail."""
     return all(thread.view.get(m.loc) < m.ts for m in thread.promises)
@@ -179,11 +188,18 @@ def _promise_condition(thread: ThreadLts) -> bool:
 
 @dataclass(frozen=True)
 class ThreadStep:
-    """One thread configuration step: tag (for inspection) + successors."""
+    """One thread configuration step: tag (for inspection) + successors.
+
+    ``shifts`` lists, in order, the ``(loc, k)`` renumberings the step's
+    insertions applied (see :meth:`Memory.insert`): ``thread`` and
+    ``memory`` are already renumbered, and the machine applies the same
+    shifts to the other threads and the SC view.
+    """
 
     tag: str
     thread: ThreadLts
     memory: Memory
+    shifts: tuple[tuple[str, Time], ...] = ()
 
 
 #: Every thread-level transition rule of PS^na (Fig 5 plus the Coq-dev
@@ -318,13 +334,13 @@ def _write_steps(thread: ThreadLts, memory: Memory, loc: str, value: Value,
             msg_view = View.singleton(loc, ts)
             if base_view is not None:
                 msg_view = msg_view.join(base_view)
-            message = Message(loc, ts, value, msg_view)
+            moved, shifts = _slot(thread, memory, loc, ts)
             yield ThreadStep(
                 "write",
-                thread.evolve(
+                moved.evolve(
                         program=thread.program.resume(None),
                         view=thread.view.set(loc, ts)),
-                memory.add(message))
+                memory.insert(Message(loc, ts, value, msg_view)), shifts)
         # fulfill an existing promise
         for promise in thread.promises:
             if (isinstance(promise, Message) and promise.loc == loc
@@ -362,12 +378,13 @@ def _rel_write_steps(thread: ThreadLts, memory: Memory, loc: str,
     for ts in memory.fresh_slots(loc, current):
         view = thread.view.set(loc, ts)
         if remaining_ok(thread.promises):
+            moved, shifts = _slot(thread, memory, loc, ts)
             yield ThreadStep(
                 "write",
-                thread.evolve(program=thread.program.resume(None),
+                moved.evolve(program=thread.program.resume(None),
                         view=view,
-                        rel_views=thread.rel_views.set(loc, view)),
-                memory.add(Message(loc, ts, value, view)))
+                        rel_views=moved.rel_views.set(loc, view)),
+                memory.insert(Message(loc, ts, value, view)), shifts)
     for promise in thread.promises:
         if (isinstance(promise, Message) and promise.loc == loc
                 and promise.ts > current and promise.value == value):
@@ -393,59 +410,64 @@ def _na_write_steps(thread: ThreadLts, memory: Memory, loc: str,
     a fresh valueless NA message (when enabled).
     """
     current = thread.view.get(loc)
+    program = thread.program.resume(None)
 
-    def emit(final_ts, promises, extra_memory, tag):
-        program = thread.program.resume(None)
+    def emit(base, final_ts, promises, extra_memory, tag, shifts=()):
         yield ThreadStep(
             tag,
-            thread.evolve(program=program,
-                    view=thread.view.set(loc, final_ts),
+            base.evolve(program=program,
+                    view=base.view.set(loc, final_ts),
                     promises=promises),
-            extra_memory)
+            extra_memory, shifts)
 
-    own = [m for m in thread.promises if m.loc == loc]
-
-    def intermediate_choices(final_ts):
+    def intermediate_choices(base, final_ts):
         """Subsets of own promises fulfillable strictly below final_ts."""
         if not config.allow_na_intermediates:
             yield frozenset()
             return
-        eligible = [m for m in own if current < m.ts < final_ts]
+        eligible = [m for m in base.promises
+                    if m.loc == loc and current < m.ts < final_ts]
         for size in range(len(eligible) + 1):
             for subset in itertools.combinations(eligible, size):
                 yield frozenset(subset)
 
     # fresh final message
     for ts in memory.fresh_slots(loc, current):
-        new_memory = memory.add(Message(loc, ts, value, None))
-        for fulfilled in intermediate_choices(ts):
-            promises = thread.promises - fulfilled
-            yield from emit(ts, promises, new_memory, "write")
+        moved, shifts = _slot(thread, memory, loc, ts)
+        new_memory = memory.insert(Message(loc, ts, value, None))
+        for fulfilled in intermediate_choices(moved, ts):
+            promises = moved.promises - fulfilled
+            yield from emit(moved, ts, promises, new_memory, "write", shifts)
         if config.allow_fresh_na_race_messages:
             for na_ts in memory.fresh_slots(loc, current):
                 if na_ts >= ts:
                     continue
+                # The race marker goes below the final message, which
+                # moves up to ts + 1.
+                marked, na_shifts = _slot(moved, new_memory, loc, na_ts)
                 yield from emit(
-                    ts, thread.promises,
-                    memory.add(NAMessage(loc, na_ts)).add(
-                        Message(loc, ts, value, None)),
-                    "write+namsg")
+                    marked, ts + 1, marked.promises,
+                    new_memory.insert(NAMessage(loc, na_ts)),
+                    "write+namsg", shifts + na_shifts)
     # fulfill an own bottom-view promise as the final message
-    for promise in own:
-        if (isinstance(promise, Message) and promise.ts > current
+    for promise in thread.promises:
+        if (isinstance(promise, Message) and promise.loc == loc
+                and promise.ts > current
                 and promise.value == value and promise.view is None):
-            for fulfilled in intermediate_choices(promise.ts):
+            for fulfilled in intermediate_choices(thread, promise.ts):
                 promises = (thread.promises - fulfilled) - {promise}
-                yield from emit(promise.ts, promises, memory, "fulfill")
+                yield from emit(thread, promise.ts, promises, memory,
+                                "fulfill")
 
 
 def _rmw_steps(thread: ThreadLts, memory: Memory, action: RmwAction,
                config: PsConfig) -> Iterator[ThreadStep]:
     """Atomic updates (extension): read and write at adjacent timestamps."""
     loc = action.loc
-    stamps = memory.timestamps(loc)
-    for message in memory.proper_at(loc):
-        if thread.view.get(loc) > message.ts:
+    messages = memory.at(loc)
+    for index, message in enumerate(messages):
+        if not isinstance(message, Message) \
+                or thread.view.get(loc) > message.ts:
             continue
         read_value = message.value
         if isinstance(action.op, type(None)):  # pragma: no cover
@@ -455,13 +477,14 @@ def _rmw_steps(thread: ThreadLts, memory: Memory, action: RmwAction,
         if isinstance(action.op, CasOp) and read_value != action.op.expected:
             continue  # failing CAS is a plain read; front ends emit those
         write_value = action.op.apply(read_value)
-        above = [ts for ts in stamps if ts > message.ts]
+        above = messages[index + 1] if index + 1 < len(messages) else None
         if (config.certifying and config.capped_certification
-                and not above):
+                and above is None):
             continue  # the certification cap reserves the maximal slot
-        write_ts = fresh_between(message.ts, above[0] if above else None)
-        if memory.blocked(loc, write_ts):
+        if (isinstance(above, Message) and above.attach is not None
+                and above.attach <= message.ts):
             continue  # another RMW already attached to this message
+        write_ts = message.ts + 1  # the adjacent slot
         view = thread.view.join(View.singleton(loc, write_ts))
         if action.read_mode is ACQ:
             view = view.join(message.view)
@@ -474,13 +497,14 @@ def _rmw_steps(thread: ThreadLts, memory: Memory, action: RmwAction,
                 m.view is None for m in thread.promises
                 if isinstance(m, Message) and m.loc == loc):
             continue
+        moved, shifts = _slot(thread, memory, loc, write_ts)
         yield ThreadStep(
             "rmw",
-            thread.evolve(
+            moved.evolve(
                     program=thread.program.resume(read_value),
                     view=view),
-            memory.add(Message(loc, write_ts, write_value, msg_view,
-                               attach=message.ts)))
+            memory.insert(Message(loc, write_ts, write_value, msg_view,
+                                  attach=message.ts)), shifts)
     if is_racy(thread.view, thread.promises, memory, loc, non_atomic=False) \
             and _promise_condition(thread):
         yield ThreadStep(
@@ -516,6 +540,7 @@ def _promise_steps(thread: ThreadLts, memory: Memory,
     budget = thread.promise_budget - 1
     for loc in thread.promise_locs:
         for ts in memory.fresh_slots(loc, thread.view.get(loc)):
+            moved, shifts = _slot(thread, memory, loc, ts)
             candidates: list[AnyMessage] = []
             for value in config.promise_values():
                 candidates.append(Message(loc, ts, value, None))
@@ -526,10 +551,10 @@ def _promise_steps(thread: ThreadLts, memory: Memory,
             for message in candidates:
                 yield ThreadStep(
                     "promise",
-                    thread.evolve(
-                            promises=thread.promises | {message},
+                    moved.evolve(
+                            promises=moved.promises | {message},
                             promise_budget=budget),
-                    memory.add(message))
+                    memory.insert(message), shifts)
 
 
 def _lower_steps(thread: ThreadLts, memory: Memory,

@@ -1,21 +1,33 @@
 """Timestamps and views for PS^na (Fig 5).
 
-``Time = {0} ∪ Q+`` — we use :class:`fractions.Fraction` so fresh
-timestamps can always be inserted between existing ones.  A *view* maps
-locations to timestamps (default 0); the *bottom view* ⊥ (smaller than
-every view) annotates non-atomic messages and is represented by ``None``
-in message fields, with :data:`BOT` as a convenience alias.
+The paper takes ``Time = {0} ∪ Q+`` so that a fresh message always fits
+between two existing ones.  Every PS^na rule only *compares* timestamps
+and inserts between adjacent ones, so a state is determined up to
+per-location order-isomorphic renaming of its timestamps.  We therefore
+store the representative of each renaming class directly: a location's
+timestamps are the dense ranks ``0..n-1`` of its ``n`` messages.  A
+fresh message for slot ``k`` of location ``x`` takes stamp ``k``, and
+every stamp ``≥ k`` of ``x`` — in memory, in message views and RMW
+``attach`` values, and in every thread — moves up by one
+(:meth:`View.shift`).  Renumbering preserves the order of all stamps, so
+each rule sees the same comparisons as with rationals, and two
+order-isomorphic states are equal as values: each state is its own
+canonical key.
+
+A *view* maps locations to timestamps (default 0); the *bottom view* ⊥
+(smaller than every view) annotates non-atomic messages and is
+represented by ``None`` in message fields, with :data:`BOT` as a
+convenience alias.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
-Time = Fraction
+Time = int
 
-ZERO = Fraction(0)
+ZERO = 0
 
 #: The bottom view ⊥ (as stored in message view fields).
 BOT: Optional["View"] = None
@@ -29,14 +41,12 @@ class View:
 
     @staticmethod
     def of(mapping: Mapping[str, Time]) -> "View":
-        # ``bool(ts)`` is ``ts != 0`` without Fraction's per-comparison
-        # numbers.Rational isinstance dance (a real cost at this rate).
         trimmed = {loc: ts for loc, ts in mapping.items() if ts}
         return View(tuple(sorted(trimmed.items())))
 
     @staticmethod
     def singleton(loc: str, ts: Time) -> "View":
-        return View.of({loc: ts})
+        return View(((loc, ts),) if ts else ())
 
     def get(self, loc: str) -> Time:
         for key, ts in self.items:
@@ -64,6 +74,18 @@ class View:
     def leq(self, other: "View") -> bool:
         return all(ts <= other.get(loc) for loc, ts in self.items)
 
+    def shift(self, loc: str, k: Time) -> "View":
+        """Renumber for a message inserted at ``loc@k``: a stamp ``≥ k``
+        of ``loc`` moves up by one.  Returns ``self`` when unaffected."""
+        for index, (key, ts) in enumerate(self.items):
+            if key == loc:
+                if ts < k:
+                    return self
+                items = self.items
+                return View(items[:index] + ((loc, ts + 1),)
+                            + items[index + 1:])
+        return self
+
     def locations(self) -> tuple[str, ...]:
         return tuple(loc for loc, _ in self.items)
 
@@ -74,22 +96,6 @@ class View:
         if not self.items:
             return "⟨⟩"
         return "⟨" + ", ".join(f"{loc}@{ts}" for loc, ts in self.items) + "⟩"
-
-    def __hash__(self) -> int:
-        # Views sit inside every message and thread state, and Fraction
-        # hashing is expensive (a modular inverse per timestamp) — cache
-        # the hash on first use.  Dropped on pickling (__getstate__):
-        # string hashes are salted per process.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(self.items)
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
 
 
 def view_leq_opt(a: Optional[View], b: Optional[View]) -> bool:
@@ -107,9 +113,6 @@ def join_opt(a: Optional[View], b: Optional[View]) -> Optional[View]:
     return a.join(b)
 
 
-def fresh_between(low: Time, high: Optional[Time]) -> Time:
-    """A timestamp strictly between ``low`` and ``high`` (or above ``low``)."""
-    if high is None:
-        return low + 1
-    assert low < high
-    return (low + high) / 2
+def shift_opt(view: Optional[View], loc: str, k: Time) -> Optional[View]:
+    """:meth:`View.shift` lifted to ``View ∪ {⊥}``."""
+    return None if view is None else view.shift(loc, k)

@@ -10,9 +10,8 @@ Four layers of guarantees:
 * **Corruption tolerance** — a truncated, garbled, or stale-semantics
   segment degrades to cache misses, never to a crash or wrong verdict.
 * **Transparency** — verdict output is byte-identical with the store
-  cold, warm, or disabled, with integer state encoding on or off, and
-  across ``--jobs`` values; a poisoned store entry is caught by the
-  monitor's divergence oracle.
+  cold, warm, or disabled, and across ``--jobs`` values; a poisoned
+  store entry is caught by the monitor's divergence oracle.
 """
 
 import json
@@ -68,8 +67,7 @@ def segment_paths(directory):
 class TestFingerprint:
     def test_cache_toggles_do_not_invalidate(self):
         base = PsConfig()
-        for field in ("enable_cert_cache", "enable_key_cache",
-                      "intern_states", "enable_cert_store"):
+        for field in ("enable_cert_cache", "enable_cert_store"):
             toggled = PsConfig(**{field: False})
             assert config_fingerprint(toggled) == config_fingerprint(base)
 
@@ -104,6 +102,40 @@ class TestDigest:
         key = self._key()
         assert cert_digest(key, config_fingerprint(PsConfig())) \
             != cert_digest(key, config_fingerprint(PsConfig(cert_depth=8)))
+
+    def test_digest_format_pinned(self):
+        """The on-disk key format: digests captured when timestamps were
+        rationals ranked by an interner.  Dense stamps must reproduce
+        them byte for byte, or SEMANTICS_VERSION must change."""
+        from repro.lang.interp import WhileThread
+        from repro.psna import Message, NAMessage, View
+        from repro.util.fmap import FrozenMap
+
+        fingerprint = config_fingerprint(PsConfig())
+        promise = Message("x", 1, 1, View.singleton("x", 1))
+        writer = ThreadLts(
+            WhileThread.start(parse("b := y_rlx; x_rlx := 1; return b;")),
+            promises=frozenset({promise}), promise_locs=("x",))
+        memory = Memory.initial(["x", "y"]).add(promise)
+        assert cert_digest(certification_key(writer, memory), fingerprint) \
+            == "b81bee3dd804431ffa4f81c05c0d96a4"
+        # Every key component: views over two locations, an RMW attach,
+        # a valueless NA message, acquire and per-location release views.
+        promised = Message("x", 1, 1, View.of({"x": 1, "y": 1}))
+        memory = Memory.initial(["x", "y"])
+        for message in (promised,
+                        Message("x", 2, 5, View.of({"x": 2}), attach=1),
+                        Message("y", 1, 2, None), NAMessage("y", 2)):
+            memory = memory.add(message)
+        thread = ThreadLts(
+            WhileThread.start(parse("x_rlx := 1; return 0;")),
+            view=View.of({"y": 1}), promises=frozenset({promised}),
+            acq_pending=View.of({"x": 2}),
+            rel_views=FrozenMap().set("y", View.of({"y": 1})),
+            promise_budget=1, promise_locs=("x",))
+        assert cert_digest(certification_key(thread, memory), fingerprint) \
+            == "a99cecb336711cbfd98eef785cd3c1db"
+        assert SEMANTICS_VERSION == "psna-1"
 
     def test_unstable_programs_bypass_the_store(self):
         """Programs without a process-independent repr must not be
@@ -290,18 +322,6 @@ class TestTransparency:
         err = capsys.readouterr().err
         assert "psna.cert.store_hits" in err
         assert "psna.cert.store_misses" not in err
-
-    def test_encoding_toggle_preserves_exploration(self):
-        programs = lb_programs()
-        encoded = explore(programs, PsConfig())
-        plain = explore(programs, PsConfig(intern_states=False))
-        assert encoded.behaviors == plain.behaviors
-        assert encoded.states == plain.states
-        assert encoded.complete == plain.complete
-        assert (encoded.dedup_hits, encoded.dedup_misses) \
-            == (plain.dedup_hits, plain.dedup_misses)
-        assert (encoded.cert_cache_hits, encoded.cert_cache_misses) \
-            == (plain.cert_cache_hits, plain.cert_cache_misses)
 
     def _litmus_json(self, capsys, jobs):
         assert main(["litmus", "--extended", "--format", "json",

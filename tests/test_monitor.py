@@ -85,7 +85,7 @@ class TestCleanRuns:
                                  "psna.view.in-memory",
                                  "psna.promise.subset-memory",
                                  "psna.promise.shrink",
-                                 "cache.key-divergence"):
+                                 "psna.state.canonical"):
                 assert checker.checks.get(invariant_id, 0) > 0, invariant_id
 
     def test_freeze_probe_and_cert_oracle_fire(self):
@@ -122,6 +122,39 @@ class TestCleanRuns:
             assert checker.checks.get("seq.frontier.consistent", 0) > 0
             assert checker.checks.get("seq.simulation.step", 0) > 0
             assert checker.checks.get("opt.pass.consistent", 0) > 0
+
+    def test_renumbering_steps_are_clean(self):
+        """Two writers of x: a write below the other thread's message
+        renumbers that thread's view, and the checks compare the
+        predecessor after the same renumbering."""
+        writers = [parse("x_rlx := 1; a := x_rlx; return a;"),
+                   parse("x_rlx := 2; b := x_rlx; return b;")]
+        with obs.session(monitor="strict"):
+            checker = obs.monitor()
+            result = explore(writers, PsConfig(promise_budget=1))
+            assert result.returns() == {(1, 1), (1, 2), (2, 2)}
+            assert checker.total_violations() == 0
+            assert checker.checks.get("psna.view.monotonic", 0) > 0
+
+    def test_missed_renumbering_is_a_violation(self):
+        from repro.lang.interp import WhileThread
+        from repro.obs.monitor import check_view_monotonic
+        from repro.psna import MachineState, Memory, Message, ThreadLts, \
+            View
+
+        program = WhileThread.start(parse("return 0;"))
+        seen = ThreadLts(program, view=View.singleton("x", 1))
+        prev = MachineState(
+            (ThreadLts(program), seen),
+            Memory.initial(["x"]).add(Message("x", 1, 2, None)))
+        # Thread 0 writes x into slot 1, below the message thread 1 saw.
+        writer = ThreadLts(program, view=View.singleton("x", 1))
+        memory = prev.memory.insert(Message("x", 1, 1, None))
+        moved = MachineState((writer, seen.shift("x", 1)), memory)
+        stale = MachineState((writer, seen), memory)
+        assert check_view_monotonic(prev, moved, 0, (("x", 1),)) is None
+        assert "did not step" in check_view_monotonic(
+            prev, stale, 0, (("x", 1),))
 
     def test_sampling_stride_reduces_checks(self):
         with obs.session(monitor="strict"):
@@ -197,7 +230,7 @@ class TestMergeDiscipline:
 class TestPayload:
     def test_round_trip_validates(self, tmp_path):
         checker = Monitor("strict", 1)
-        inject_violation(checker, "cache.key-divergence")
+        inject_violation(checker, "psna.state.canonical")
         path = tmp_path / "monitor.json"
         payload = write_monitor_report(str(path), checker,
                                        meta={"argv": "test"})

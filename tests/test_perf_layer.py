@@ -1,10 +1,10 @@
 """Tests for the hot-path performance layer.
 
-Covers the three tentpoles of the perf PR: certification memoization
-(:class:`CertCache`), canonical-key caching/interning
-(:class:`KeyCache`, SEQ game closure memoization), and the parallel
-sweep runner (:mod:`repro.runner`, ``--jobs``) — plus the exact
-``max_states`` bound regression.
+Covers certification memoization (:class:`CertCache`), state keys
+(dense timestamps make each PS^na state its own dedup key, pinned by
+exact exploration counters; SEQ game closure memoization), and the
+parallel sweep runner (:mod:`repro.runner`, ``--jobs``) — plus the
+exact ``max_states`` bound regression.
 
 The load-bearing property throughout: caches and parallelism are pure
 performance artifacts.  Every observable result — behavior sets, state
@@ -13,7 +13,6 @@ on or off.
 """
 
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -25,7 +24,6 @@ from repro.litmus import EXTENDED_CASES
 from repro.obs.metrics import MetricsRegistry
 from repro.psna import (
     CertCache,
-    KeyCache,
     Memory,
     Message,
     PsConfig,
@@ -34,14 +32,16 @@ from repro.psna import (
     canonical_key,
     certifiable,
     certification_key,
-    decode_state,
     explore,
     initial_state,
+    intern_cert,
+    intern_state,
+    machine_steps,
 )
 from repro.seq.refinement import check_transformation
 
 CACHED = PsConfig(promise_budget=1)
-UNCACHED = replace(CACHED, enable_cert_cache=False, enable_key_cache=False)
+UNCACHED = replace(CACHED, enable_cert_cache=False)
 
 SB = [parse("x_rlx := 1; a := y_rlx; return a;"),
       parse("y_rlx := 1; b := x_rlx; return b;")]
@@ -70,8 +70,7 @@ class TestStateBoundExact:
 
 class TestCertCache:
     def _promised(self, program: str, value: int = 1):
-        promise = Message("x", Fraction(1), value,
-                          View.singleton("x", Fraction(1)))
+        promise = Message("x", 1, value, View.singleton("x", 1))
         thread = ThreadLts(WhileThread.start(parse(program)),
                            promises=frozenset({promise}))
         memory = Memory.initial(["x"]).add(promise)
@@ -102,17 +101,19 @@ class TestCertCache:
         assert (cache.hits, cache.misses) == (0, 0)
 
     def test_key_invariant_under_timestamp_renaming(self):
-        """Order-isomorphic timestamps canonicalize to the same key."""
-        def build(ts: Fraction):
-            promise = Message("x", ts, 1, View.singleton("x", ts))
-            thread = ThreadLts(WhileThread.start(
-                parse("x_rlx := 1; return 0;")),
-                promises=frozenset({promise}))
-            return thread, Memory.initial(["x"]).add(promise)
-
-        low = certification_key(*build(Fraction(1)))
-        high = certification_key(*build(Fraction(7, 2)))
-        assert low == high
+        """A promise made before or after a message above it: dense
+        stamps make the two pairs, and so their keys, equal."""
+        promise = Message("x", 1, 1, View.singleton("x", 1))
+        thread = ThreadLts(WhileThread.start(
+            parse("x_rlx := 1; return 0;")),
+            promises=frozenset({promise}))
+        first = Memory.initial(["x"]).insert(promise) \
+            .insert(Message("x", 2, 0, None))
+        later = Memory.initial(["x"]).insert(Message("x", 1, 0, None)) \
+            .insert(promise)
+        assert intern_cert(thread, first) == intern_cert(thread, later)
+        assert certification_key(thread, first) \
+            == certification_key(thread, later)
 
     def test_key_distinguishes_different_values(self):
         thread_a, memory_a = self._promised("x_rlx := 1; return 0;", 1)
@@ -123,22 +124,23 @@ class TestCertCache:
 
 class TestKeyCache:
     def test_canonical_key_memoized_per_state(self):
+        """No key cache: the dedup key of a state is the state itself,
+        and every ⊥ state with the same trace shares one key."""
         state = initial_state(SB, PsConfig(allow_promises=False))
-        cache = KeyCache()
-        first = canonical_key(state, cache)
-        second = canonical_key(state, cache)
-        assert first == second
-        assert isinstance(first, int)
-        assert decode_state(first, cache.interner) == canonical_key(state)
-        assert cache.hits == 1 and cache.misses == 1
+        assert intern_state(state) is state
+        assert intern_state(state.evolve(bottom=True)) == ("⊥", ())
 
     def test_legacy_object_keys_match_uncached_path(self):
-        state = initial_state(SB, PsConfig(allow_promises=False))
-        cache = KeyCache(encoded=False)
-        first = canonical_key(state, cache)
-        second = canonical_key(state, cache)
-        assert first == second == canonical_key(state)
-        assert cache.hits == 1 and cache.misses == 1
+        """``canonical_key`` is the structural form with rank = stamp."""
+        config = PsConfig(allow_promises=False)
+        write = next(machine_steps(initial_state(SB, config), config))
+        threads, memory, sc_view, syscalls = canonical_key(write)
+        assert memory == (
+            ("msg", "x", 0, (0, 0), ("bot",), -1),
+            ("msg", "x", 1, (0, 1), ("view", ("x", 1)), -1),
+            ("msg", "y", 0, (0, 0), ("bot",), -1))
+        assert threads[0][1] == ("view", ("x", 1))
+        assert (sc_view, syscalls) == (("view",), ())
 
     def test_exploration_reports_cache_counters(self):
         result = explore(SB, CACHED)
@@ -167,7 +169,9 @@ class TestCacheTransparency:
             assert cached.behaviors == plain.behaviors
             assert cached.states == plain.states
             assert cached.complete == plain.complete
-            assert plain.cert_cache_hits == plain.key_cache_hits == 0
+            assert (cached.dedup_hits, cached.dedup_misses) \
+                == (plain.dedup_hits, plain.dedup_misses)
+            assert plain.cert_cache_hits == 0
 
     @pytest.mark.parametrize(
         "case", EXTENDED_CASES, ids=lambda case: case.name)
@@ -184,6 +188,47 @@ class TestCacheTransparency:
         plain = explore(lb, UNCACHED)
         assert cached.behaviors == plain.behaviors
         assert cached.cert_cache_hits > 0
+
+
+LB = ("a := x_rlx; y_rlx := a; return a;",
+      "b := y_rlx; x_rlx := 1; return b;")
+MULTI_MESSAGE = ("a := x_na; y_rlx := a; return 0;",
+                 "b := y_rlx; c := freeze(b); if c == 1 { x_na := 1; "
+                 "print(1); } else { x_na := 2; } return 0;")
+EX51 = ("a := x_na; y_rlx := 1; return a;",
+        "b := y_rlx; if b == 1 { x_na := 1; } return b;")
+
+
+class TestDedupPrecision:
+    """Exact counters of the benchmark's six named explorations, as the
+    rational-timestamp implementation with interned canonical keys
+    produced them.  A state that is not canonical inflates ``states``;
+    an over-merge shrinks it."""
+
+    @pytest.mark.parametrize("threads, config, expected", [
+        (LB, PsConfig(promise_budget=0, allow_promises=False),
+         (28, 15, 27, 0, 0, 6, 2)),
+        (LB, PsConfig(promise_budget=1), (160, 141, 159, 911, 139, 19, 3)),
+        (LB, PsConfig(promise_budget=2),
+         (160, 141, 159, 2257, 375, 19, 3)),
+        (MULTI_MESSAGE, PsConfig(values=(0, 1, 2)),
+         (4970, 8527, 4969, 22156, 2914, 63, 2)),
+        (MULTI_MESSAGE,
+         PsConfig(values=(0, 1, 2), allow_na_intermediates=False),
+         (691, 969, 690, 4317, 480, 54, 1)),
+        (EX51, PsConfig(allow_lower=True),
+         (688, 903, 687, 2251, 604, 29, 4)),
+    ], ids=["lb-budget-0", "lb-budget-1", "lb-budget-2",
+            "appb-multi-message-on", "appb-multi-message-off",
+            "ex51-lower"])
+    def test_named_exploration_counters(self, threads, config, expected,
+                                        monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        result = explore([parse(text) for text in threads], config)
+        assert result.complete and result.stuck_states == 0
+        assert (result.states, result.dedup_hits, result.dedup_misses,
+                result.cert_cache_hits, result.cert_cache_misses,
+                result.peak_frontier, len(result.behaviors)) == expected
 
 
 class TestRunner:

@@ -123,29 +123,39 @@ class TestMachineSteps:
 
 class TestCanonicalKey:
     def test_timestamp_renaming_invariance(self):
+        """x=1 then x=2 written above it, or x=2 first and x=1 inserted
+        below it: dense stamps make the two the same state."""
         program = parse("return 0;")
-        mem_a = Memory.initial(["x"]).add(Message("x", Fraction(1), 1, None))
-        mem_b = Memory.initial(["x"]).add(
-            Message("x", Fraction(99, 7), 1, None))
+        mem_a = Memory.initial(["x"]).insert(Message("x", 1, 1, None)) \
+            .insert(Message("x", 2, 2, None))
+        mem_b = Memory.initial(["x"]).insert(Message("x", 1, 2, None)) \
+            .insert(Message("x", 1, 1, None))
         thread = ThreadLts(WhileThread.start(program))
-        from repro.psna import MachineState
+        from repro.psna import MachineState, intern_state
 
         state_a = MachineState((thread,), mem_a)
         state_b = MachineState((thread,), mem_b)
+        assert intern_state(state_a) == intern_state(state_b)
         assert canonical_key(state_a) == canonical_key(state_b)
 
     def test_views_follow_renaming(self):
+        """A message inserted below a thread's view moves the view."""
         program = parse("return 0;")
         from repro.psna import MachineState
 
-        def state_with(ts):
-            memory = Memory.initial(["x"]).add(Message("x", ts, 1, None))
-            thread = ThreadLts(WhileThread.start(program),
-                               view=View.singleton("x", ts))
-            return MachineState((thread,), memory)
-
-        assert canonical_key(state_with(Fraction(1))) == canonical_key(
-            state_with(Fraction(5)))
+        seen = ThreadLts(WhileThread.start(program),
+                         view=View.singleton("x", 1))
+        state = MachineState(
+            (seen,), Memory.initial(["x"]).insert(Message("x", 1, 1, None)))
+        moved = state.shift("x", 1).evolve(
+            memory=state.memory.insert(Message("x", 1, 7, None)))
+        direct = MachineState(
+            (ThreadLts(WhileThread.start(program),
+                       view=View.singleton("x", 2)),),
+            Memory.initial(["x"]).add(Message("x", 1, 7, None))
+            .add(Message("x", 2, 1, None)))
+        assert moved == direct
+        assert canonical_key(moved) == canonical_key(direct)
 
     def test_distinct_values_distinguished(self):
         program = parse("return 0;")

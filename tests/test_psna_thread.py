@@ -233,18 +233,23 @@ class TestPromises:
 
 class TestRmwExtension:
     def test_rmw_reads_and_writes_adjacent(self):
-        memory = Memory.initial(["x"]).add(Message("x", Fraction(2), 5, None))
+        memory = Memory.initial(["x"]).add(Message("x", 1, 5, None))
         steps = steps_of("a := fadd_rlx_rlx(x_rlx, 1); return a;", memory)
         rmws = [s for s in steps if s.tag == "rmw"]
         assert len(rmws) == 2  # from init 0 and from the 5 message
+        read = set()
         for step in rmws:
-            new = [m for m in step.memory.at("x")
-                   if m.ts not in (Fraction(0), Fraction(2))]
-            (message,) = new
-            # adjacency: nothing sits between the read and the write
-            stamps = step.memory.timestamps("x")
-            below = max(ts for ts in stamps if ts < message.ts)
-            assert below in (Fraction(0), Fraction(2))
+            (message,) = [m for m in step.memory.at("x")
+                          if m.attach is not None]
+            # adjacency: the write takes the slot right above the
+            # message it read, and nothing sits between them
+            assert message.ts == message.attach + 1
+            assert step.memory.timestamps("x") == [0, 1, 2]
+            read.add(step.memory.at("x")[message.attach].value)
+            # inserting above init renumbers the 5 message; past the
+            # maximum nothing moves
+            assert step.shifts == ((("x", 1),) if message.ts == 1 else ())
+        assert read == {0, 5}
 
     def test_cas_only_succeeds_on_expected(self):
         memory = Memory.initial(["x"])

@@ -1,13 +1,11 @@
 """Tests for timestamps and views (PS^na, Fig 5 preliminaries)."""
 
-from fractions import Fraction
-
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.psna import View, ZERO, fresh_between, join_opt, view_leq_opt
+from repro.psna import View, ZERO, join_opt, view_leq_opt
 
-times = st.fractions(min_value=0, max_value=8, max_denominator=8)
+times = st.integers(min_value=0, max_value=8)
 view_maps = st.dictionaries(st.sampled_from(["x", "y", "z"]), times,
                             max_size=3)
 views = view_maps.map(View.of)
@@ -22,20 +20,20 @@ def test_zero_entries_trimmed():
 
 
 def test_set_get():
-    view = View().set("x", Fraction(2))
+    view = View().set("x", 2)
     assert view.get("x") == 2
     assert view.get("y") == 0
 
 
 def test_join_pointwise_max():
-    a = View.of({"x": Fraction(1), "y": Fraction(3)})
-    b = View.of({"x": Fraction(2)})
+    a = View.of({"x": 1, "y": 3})
+    b = View.of({"x": 2})
     joined = a.join(b)
     assert joined.get("x") == 2 and joined.get("y") == 3
 
 
 def test_join_with_bottom_is_identity():
-    view = View.of({"x": Fraction(1)})
+    view = View.of({"x": 1})
     assert view.join(None) == view
     assert join_opt(None, view) == view
     assert join_opt(None, None) is None
@@ -69,7 +67,7 @@ def test_leq_antisymmetric(a, b):
 
 
 def test_view_leq_opt_bottom():
-    view = View.of({"x": Fraction(1)})
+    view = View.of({"x": 1})
     assert view_leq_opt(None, view)
     assert view_leq_opt(None, None)
     assert not view_leq_opt(view, None)
@@ -77,12 +75,19 @@ def test_view_leq_opt_bottom():
 
 
 def test_fresh_between_midpoint():
-    ts = fresh_between(Fraction(1), Fraction(2))
-    assert Fraction(1) < ts < Fraction(2)
+    """A message inserted between x@1 and x@2 takes slot 2: the stamps
+    of x at or above 2 move up by one, other locations stay."""
+    view = View.of({"x": 2, "y": 2})
+    assert view.shift("x", 2) == View.of({"x": 3, "y": 2})
+    below = View.of({"x": 1, "y": 2})
+    assert below.shift("x", 2) is below
 
 
 def test_fresh_between_open_end():
-    assert fresh_between(Fraction(3), None) == Fraction(4)
+    """Past the maximum stamp nothing moves."""
+    view = View.of({"x": 3})
+    assert view.shift("x", 4) is view
+    assert View().shift("x", 1) == View()
 
 
 @given(views)
