@@ -241,8 +241,6 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
     as_json = getattr(args, "format", "table") == "json"
     jobs = getattr(args, "jobs", 1)
     graph_stats = getattr(args, "graph_stats", False)
-    mismatches = 0
-    incomplete_cases: list[tuple[str, tuple[str, ...]]] = []
     case_stats: list[tuple[str, int, float, float]] = []
     graph_rows: list[tuple[str, int, int, int, int]] = []
     registry = obs.metrics()
@@ -262,16 +260,6 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
     for payload, counters in sweep:
         row = {key: payload[key] for key in runner.LITMUS_ROW_KEYS}
         rows.append(row)
-        mismatches += not row["agree"]
-        incomplete = (",".join(row["incomplete_reasons"]) or "-"
-                      if not row["complete"] else "-")
-        if not as_json:
-            print(f"{row['case']:36s} {row['expected']:9s} "
-                  f"{row['measured']:9s} "
-                  f"{'ok' if row['agree'] else 'MISMATCH':8s} {incomplete}")
-        if not row["complete"]:
-            incomplete_cases.append(
-                (row["case"], tuple(row["incomplete_reasons"])))
         # Timing rows only under --stats: a graph-only session must not
         # pull wall-clock numbers into (byte-stable) stdout.
         if registry is not None and getattr(args, "stats", False):
@@ -292,16 +280,7 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
             row["graph"] = {"states": graph[0], "edges": graph[1],
                             "dedup_hits": graph[2],
                             "dedup_misses": graph[3]}
-    if as_json:
-        print(json.dumps({"command": "litmus", "total": len(cases),
-                          "mismatches": mismatches, "cases": rows},
-                         indent=2))
-    else:
-        print(f"{len(cases) - mismatches}/{len(cases)} verdicts match")
-    for name, reasons in incomplete_cases:
-        _warn(f"case {name!r}: refinement game incomplete — exhausted "
-              f"bounds: {', '.join(reasons) or 'unknown'}; its verdict "
-              f"may be based on a truncated search")
+    mismatches = runner.render_litmus(rows, as_json)
     if case_stats and not as_json:
         print()
         print(f"{'case':36s} {'states':>8s} {'dedup%':>7s} {'time_ms':>9s}")
@@ -327,7 +306,8 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
               f"{total_rate * 100:>7.1f}%")
     obs.event("result", command="litmus", cases=len(cases),
               mismatches=mismatches,
-              incomplete=[name for name, _ in incomplete_cases],
+              incomplete=[row["case"] for row in rows
+                          if not row["complete"]],
               rows=rows)
     return 1 if mismatches else 0
 
@@ -582,24 +562,27 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or maintain the persistent certification store."""
+    """Inspect or maintain the cache directory: the persistent
+    certification store and the service's verdict store beside it."""
     import json as _json
 
     from .psna import certstore
+    from .serve.store import VerdictStore
 
     directory = args.dir if args.dir else certstore.resolve_dir()
     if directory is None:
-        print("cert store disabled (REPRO_CACHE_DIR is off)")
+        print("cache disabled (REPRO_CACHE_DIR is off)")
         return 0 if args.action == "stats" else 2
     store = certstore.CertStore(directory)
+    verdicts = VerdictStore(directory)
     if args.action == "clear":
-        removed = store.clear()
-        print(f"cert store cleared: {removed} entries removed "
+        removed = store.clear() + verdicts.clear()
+        print(f"cache cleared: {removed} entries removed "
               f"from {directory}")
         return 0
     if args.action == "gc":
-        result = store.gc(args.max_mb)
-        print(f"cert store gc: {result['stale_segments']} stale "
+        result = store.gc(args.max_mb, [verdicts])
+        print(f"cache gc: {result['stale_segments']} stale "
               f"segment(s) reaped, {result['dropped_entries']} entries "
               f"dropped, {result['size_bytes'] / 1e6:.2f} MB on disk")
         return 0
@@ -619,6 +602,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"entries   : {stats['entries']}")
     print(f"segments  : {stats['segments']}")
     print(f"size      : {stats['size_bytes'] / 1e6:.2f} MB")
+    verdict_stats = verdicts.stats()
+    print(f"verdicts  : {verdict_stats['entries']} entries in "
+          f"{verdict_stats['segments']} segment(s)")
     runs = [r for r in stats["history"] if "hits" in r]
     if runs:
         last = runs[-1]
@@ -1035,17 +1021,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser(
         "cache",
-        help="inspect/maintain the persistent certification store")
+        help="inspect/maintain the cache directory (certification and "
+             "verdict stores)")
     cache.add_argument("action", choices=("stats", "clear", "gc"),
-                       help="stats: summary; clear: drop all entries; "
-                            "gc: reap stale segments and enforce a size "
-                            "cap")
+                       help="stats: summary; clear: drop all entries of "
+                            "both stores; gc: reap stale segments, "
+                            "compact, and enforce a size cap over both")
     cache.add_argument("--json", metavar="FILE", default=None,
                        help="with stats: also write the summary as JSON "
                             "(repro-certstore/1)")
     cache.add_argument("--max-mb", type=float, default=64.0,
-                       help="with gc: on-disk size cap in MB "
-                            "(default: 64)")
+                       help="with gc: on-disk size cap in MB, both "
+                            "stores together (default: 64)")
     cache.add_argument("--dir", default=None,
                        help="store directory (default: REPRO_CACHE_DIR "
                             "or .repro-cache)")

@@ -20,45 +20,34 @@ Keying
     process-independent ``repr`` (``WhileThread``) are digested; other
     thread shapes bypass the store rather than risk an unstable key.
 
-Layout (``.repro-cache/`` by default, ``REPRO_CACHE_DIR`` overrides;
-set it to ``off`` to disable)::
+Files
+    Segment files live in the cache directory (``.repro-cache/`` by
+    default, ``REPRO_CACHE_DIR`` overrides, ``off`` disables) beside the
+    service's verdict store; their format and lifecycle (temp-file
+    creation, header check, tolerant loading, compaction, reaping) are
+    :mod:`repro.util.segments`.  This module adds the record parser,
+    the open-time snapshot, and one buffered segment write at close::
 
-    segment-<pid>-<n>.seg   one header line, then "<digest> <0|1>" lines
-    history.jsonl           one JSON line per close / gc / clear event
-
-Crash safety
-    Segments are written to a temp file and atomically renamed, and the
-    loader treats any malformed header or entry line as absent — a
-    truncated or corrupted segment degrades to cache misses, never to a
-    crash or a wrong verdict.  Concurrent writers (``--jobs`` spawn
-    workers, parallel CI shards) each produce their own uniquely-named
-    segment; loading is a fold over all segments, so merging is
-    order-independent.  When the segment count passes
-    :data:`COMPACT_SEGMENTS`, close() rewrites the store as a single
-    segment and unlinks the old files (a crash mid-compaction leaves
-    duplicate entries, which the loading fold dedups harmlessly).
+        segment-<pid>-<n>.seg   one header line, then "<digest> <0|1>"
+        history.jsonl           one JSON line per close / gc / clear
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import tempfile
 from hashlib import blake2b
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..lang.interp import WhileThread
+from ..util.segments import (  # noqa: F401  (re-exported)
+    COMPACT_SEGMENTS, DEFAULT_DIR, ENV_DIR, SegmentFamily, append_jsonl,
+    read_jsonl, resolve_dir)
 from .semantics import SEMANTICS_VERSION
 from .thread import PsConfig
 
 STORE_SCHEMA = "repro-certstore/1"
 SEGMENT_HEADER = "repro-cert-store/1"
-DEFAULT_DIR = ".repro-cache"
-ENV_DIR = "REPRO_CACHE_DIR"
-
-#: close() compacts the store once it holds more than this many segments.
-COMPACT_SEGMENTS = 16
 
 #: ``PsConfig`` fields that cannot change a certification verdict —
 #: cache toggles and exploration bounds.  Everything else (including
@@ -114,6 +103,18 @@ def cert_digest(structural_key, fingerprint: str) -> Optional[str]:
                    digest_size=_DIGEST_SIZE).hexdigest()
 
 
+def _parse_entry(line: str) -> Optional[str]:
+    """The digest of one ``"<digest> <0|1>"`` record, or ``None``."""
+    fields = line.split(" ")
+    if len(fields) != 2 or fields[1] not in ("0", "1"):
+        return None
+    digest = fields[0]
+    if len(digest) != 2 * _DIGEST_SIZE \
+            or not all(c in "0123456789abcdef" for c in digest):
+        return None
+    return digest
+
+
 class CertStore:
     """One open handle on the on-disk store; see the module docstring.
 
@@ -125,71 +126,19 @@ class CertStore:
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
+        self.segments = SegmentFamily(
+            directory, "segment-", ".seg",
+            f"{SEGMENT_HEADER} {SEMANTICS_VERSION}", _parse_entry)
+        self.history_path = os.path.join(directory, "history.jsonl")
         self.entries: dict[str, bool] = {}
         self.pending: dict[str, bool] = {}
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self._closed = False
-        self._load()
-
-    # -- segment I/O ------------------------------------------------------
-
-    def _segments(self) -> list[str]:
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return []
-        return sorted(os.path.join(self.directory, name)
-                      for name in names
-                      if name.startswith("segment-") and name.endswith(".seg"))
-
-    def _load(self) -> None:
-        for path in self._segments():
-            self._load_segment(path, self.entries)
-
-    @staticmethod
-    def _load_segment(path: str, into: dict[str, bool]) -> bool:
-        """Fold one segment file into ``into``; returns whether the file
-        carried the current semantics header.  Any malformed line —
-        truncation, garbage, wrong field count — is skipped: corruption
-        degrades to a miss, never a crash or a wrong verdict."""
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                header = fh.readline().rstrip("\n").split(" ")
-                if header != [SEGMENT_HEADER, SEMANTICS_VERSION]:
-                    return False
-                for line in fh:
-                    if not line.endswith("\n"):
-                        continue  # truncated final line
-                    fields = line[:-1].split(" ")
-                    if len(fields) != 2 or fields[1] not in ("0", "1"):
-                        continue
-                    digest = fields[0]
-                    if len(digest) != 2 * _DIGEST_SIZE \
-                            or not all(c in "0123456789abcdef"
-                                       for c in digest):
-                        continue
-                    into[digest] = fields[1] == "1"
-        except OSError:
-            return False
-        return True
-
-    def _write_segment(self, entries: dict[str, bool]) -> Optional[str]:
-        if not entries:
-            return None
-        os.makedirs(self.directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix="segment-", suffix=".tmp",
-                                   dir=self.directory)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(f"{SEGMENT_HEADER} {SEMANTICS_VERSION}\n")
-            for digest in sorted(entries):
-                fh.write(f"{digest} {1 if entries[digest] else 0}\n")
-        final = os.path.join(
-            self.directory,
-            f"segment-{os.getpid()}-{os.path.basename(tmp)[8:-4]}.seg")
-        os.replace(tmp, final)
-        return final
+        for path in self.segments.paths():
+            for digest, line, _ in self.segments.records(path):
+                self.entries[digest] = line.endswith("1")
 
     # -- lookup / update --------------------------------------------------
 
@@ -238,116 +187,65 @@ class CertStore:
         if self._closed:
             return
         self._closed = True
-        self._write_segment(self.pending)
-        if len(self._segments()) > COMPACT_SEGMENTS:
-            self._compact()
+        self.segments.write(f"{digest} {1 if self.pending[digest] else 0}"
+                            for digest in sorted(self.pending))
+        if len(self.segments.paths()) > COMPACT_SEGMENTS:
+            self.segments.compact()
         if self.hits or self.misses or self.writes or self.pending:
-            self._history({"hits": self.hits, "misses": self.misses,
-                           "writes": self.writes,
-                           "entries": len(self.entries) + len(self.pending)})
+            append_jsonl(self.history_path, {
+                "hits": self.hits, "misses": self.misses,
+                "writes": self.writes,
+                "entries": len(self.entries) + len(self.pending)})
         self.pending = {}
-
-    def _compact(self) -> None:
-        segments = self._segments()
-        merged: dict[str, bool] = {}
-        for path in segments:
-            self._load_segment(path, merged)
-        if self._write_segment(merged) is None:
-            return
-        for path in segments:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def _history(self, record: dict) -> None:
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            with open(os.path.join(self.directory, "history.jsonl"),
-                      "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        except OSError:
-            pass
 
     # -- maintenance (the ``repro cache`` subcommand) ---------------------
 
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self._segments():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                pass
-        return total
-
     def stats(self) -> dict:
-        history = self.read_history()
         return {
             "schema": STORE_SCHEMA,
             "directory": self.directory,
             "semantics": SEMANTICS_VERSION,
             "entries": len(self.entries),
-            "segments": len(self._segments()),
-            "size_bytes": self.size_bytes(),
-            "history": history[-50:],
+            "segments": len(self.segments.paths()),
+            "size_bytes": self.segments.size_bytes(),
+            "history": self.read_history()[-50:],
         }
 
     def read_history(self) -> list[dict]:
-        records: list[dict] = []
-        try:
-            with open(os.path.join(self.directory, "history.jsonl"),
-                      "r", encoding="utf-8") as fh:
-                for line in fh:
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # partial line from a crashed writer
-                    if isinstance(record, dict):
-                        records.append(record)
-        except OSError:
-            pass
-        return records
+        return read_jsonl(self.history_path)
 
     def clear(self) -> int:
         """Drop every segment; returns how many entries were removed."""
         removed = len(self.entries)
-        for path in self._segments():
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        self.segments.clear()
         self.entries = {}
         self.pending = {}
-        self._history({"event": "clear", "removed": removed})
+        append_jsonl(self.history_path, {"event": "clear",
+                                         "removed": removed})
         return removed
 
-    def gc(self, max_mb: float) -> dict:
+    def gc(self, max_mb: float, siblings: Sequence = ()) -> dict:
         """Reap stale-semantics segments, compact, and enforce the size
         cap (a cache over budget is dropped wholesale — every entry is
-        recomputable)."""
-        stale = 0
-        for path in self._segments():
-            probe: dict[str, bool] = {}
-            if not self._load_segment(path, probe):
-                stale += 1
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-        self._compact()
+        recomputable).  ``siblings`` are other store handles in this
+        directory (``repro cache gc`` passes the verdict store); their
+        segments are reaped, compacted, capped and dropped alongside."""
+        families = [self.segments] + [store.segments for store in siblings]
+        stale = sum(family.reap_stale() for family in families)
+        for family in families:
+            family.compact()
         dropped = 0
-        if self.size_bytes() > max_mb * 1024 * 1024:
-            dropped = len(self.entries)
-            for path in self._segments():
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+        if sum(family.size_bytes() for family in families) \
+                > max_mb * 1024 * 1024:
+            dropped = len(self.entries) \
+                + sum(store.clear() for store in siblings)
+            self.segments.clear()
             self.entries = {}
         result = {"event": "gc", "stale_segments": stale,
                   "dropped_entries": dropped,
-                  "size_bytes": self.size_bytes()}
-        self._history(result)
+                  "size_bytes": sum(family.size_bytes()
+                                    for family in families)}
+        append_jsonl(self.history_path, result)
         return result
 
 
@@ -356,17 +254,6 @@ class CertStore:
 # ---------------------------------------------------------------------------
 
 _ACTIVE: Optional[CertStore] = None
-
-
-def resolve_dir(env: Optional[str] = None) -> Optional[str]:
-    """The store directory per ``REPRO_CACHE_DIR``, or ``None`` when the
-    store is disabled (``off``/``none``/``0``/empty)."""
-    value = os.environ.get(ENV_DIR) if env is None else env
-    if value is None:
-        return DEFAULT_DIR
-    if value.strip().lower() in ("", "off", "none", "0"):
-        return None
-    return value
 
 
 def open_default() -> Optional[CertStore]:

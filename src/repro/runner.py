@@ -24,12 +24,13 @@ keep every platform on the strictest semantics.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import threading
 import time
 from multiprocessing import get_context
-from typing import Callable, Optional, Sequence
+from typing import IO, Callable, Optional, Sequence
 
 from . import obs
 from .obs import telemetry
@@ -313,6 +314,39 @@ def litmus_case_worker(name: str) -> dict:
         "game_states": verdict.game_states,
         "time_s": elapsed,
     }
+
+
+def render_litmus(rows: list[dict], as_json: bool,
+                  out: Optional[IO[str]] = None) -> int:
+    """Print the ``repro litmus --format json|table`` body for ``rows``
+    (one per case, in catalog order) and warn on stderr about every
+    incomplete case; returns the mismatch count.  ``repro litmus`` and
+    ``repro client litmus`` both render through here, which keeps their
+    output byte-identical."""
+    sink = out if out is not None else sys.stdout
+    mismatches = sum(not row["agree"] for row in rows)
+    if as_json:
+        print(json.dumps({"command": "litmus", "total": len(rows),
+                          "mismatches": mismatches, "cases": rows},
+                         indent=2), file=sink)
+    else:
+        for row in rows:
+            incomplete = (",".join(row["incomplete_reasons"]) or "-"
+                          if not row["complete"] else "-")
+            print(f"{row['case']:36s} {row['expected']:9s} "
+                  f"{row['measured']:9s} "
+                  f"{'ok' if row['agree'] else 'MISMATCH':8s} {incomplete}",
+                  file=sink)
+        print(f"{len(rows) - mismatches}/{len(rows)} verdicts match",
+              file=sink)
+    for row in rows:
+        if not row["complete"]:
+            print(f"warning: case {row['case']!r}: refinement game "
+                  f"incomplete — exhausted bounds: "
+                  f"{', '.join(row['incomplete_reasons']) or 'unknown'}; "
+                  f"its verdict may be based on a truncated search",
+                  file=sys.stderr)
+    return mismatches
 
 
 def adequacy_context_worker(descriptor) -> tuple[str, bool, bool]:

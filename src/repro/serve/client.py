@@ -3,9 +3,9 @@
 A thin :mod:`urllib` wrapper over the ``/v1`` endpoints — no third-party
 HTTP stack, mirroring the server.  The one substantive piece is
 :func:`run_litmus`: it submits the whole litmus catalog as one batch,
-waits for every job, and renders **exactly** the output of
-``repro litmus --format json`` / ``--format table`` — same keys, same
-order, same summary line — which is what the CI smoke byte-compares.
+waits for every job, and renders the rows through
+:func:`repro.runner.render_litmus`, the renderer ``repro litmus`` uses,
+so both print the same bytes (which the CI smoke also byte-compares).
 The batch response also reports how many submissions were answered
 straight from the verdict store (``served_from == "store"``), which
 :func:`run_litmus` can export for the warm-hit-rate gate.
@@ -188,8 +188,8 @@ def run_litmus(base: str, extended: bool = False,
     gate reads these.  Returns the CLI's exit status (1 on mismatch).
     """
     from ..litmus import ALL_TRANSFORMATION_CASES, EXTENDED_CASES
+    from ..runner import render_litmus
 
-    sink = out if out is not None else sys.stdout
     cases = EXTENDED_CASES if extended else ALL_TRANSFORMATION_CASES
     specs = [{"kind": "litmus", "case": case.name} for case in cases]
     batch = submit_batch(base, specs, timeout=timeout)
@@ -198,8 +198,6 @@ def run_litmus(base: str, extended: bool = False,
         cached = batch["cached"]
         cache_stats.update(total=total, cached=cached,
                            hit_rate=cached / total if total else 0.0)
-    mismatches = 0
-    incomplete_cases: list[tuple[str, tuple[str, ...]]] = []
     rows = []
     for entry in batch["jobs"]:
         status = wait_job(base, entry["job"], timeout=timeout)
@@ -208,31 +206,8 @@ def run_litmus(base: str, extended: bool = False,
                                f"job {entry['job']} "
                                f"{status.get('state')}: "
                                f"{status.get('error')}")
-        row = status["result"]
-        rows.append(row)
-        mismatches += not row["agree"]
-        incomplete = (",".join(row["incomplete_reasons"]) or "-"
-                      if not row["complete"] else "-")
-        if not as_json:
-            print(f"{row['case']:36s} {row['expected']:9s} "
-                  f"{row['measured']:9s} "
-                  f"{'ok' if row['agree'] else 'MISMATCH':8s} "
-                  f"{incomplete}", file=sink)
-        if not row["complete"]:
-            incomplete_cases.append(
-                (row["case"], tuple(row["incomplete_reasons"])))
-    if as_json:
-        print(json.dumps({"command": "litmus", "total": len(cases),
-                          "mismatches": mismatches, "cases": rows},
-                         indent=2), file=sink)
-    else:
-        print(f"{len(cases) - mismatches}/{len(cases)} verdicts match",
-              file=sink)
-    for name, reasons in incomplete_cases:
-        print(f"warning: case {name!r}: refinement game incomplete — "
-              f"exhausted bounds: {', '.join(reasons) or 'unknown'}; "
-              f"its verdict may be based on a truncated search",
-              file=sys.stderr)
+        rows.append(status["result"])
+    mismatches = render_litmus(rows, as_json, out)
     return 1 if mismatches else 0
 
 

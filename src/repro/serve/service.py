@@ -66,6 +66,7 @@ from ..obs import telemetry
 from ..obs.events import EventStream
 from ..psna import certstore
 from ..psna.semantics import SEMANTICS_VERSION
+from ..util.segments import append_jsonl
 from . import jobs as jobmod
 from .metrics import ServiceMetrics
 from .store import VerdictStore
@@ -94,49 +95,6 @@ class _LineSink:
         while "\n" in self._pending:
             line, self._pending = self._pending.split("\n", 1)
             self._service._append_event_line(self._job, line)
-
-
-class _AuditLedger:
-    """Append-only ``audit.jsonl`` beside the verdict store.
-
-    One JSON line per submission and per completion, flushed per line
-    (the store's kill-safety discipline): who asked (client address),
-    what (job id, kind, digest), when, under which trace, where the
-    answer came from, and the verdict digest it resolved to.  Write
-    failures are swallowed — the ledger is evidence, not a
-    dependency.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._lock = threading.Lock()
-        self._handle = None
-        try:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            self._handle = open(path, "a", encoding="utf-8")
-        except OSError:
-            self._handle = None
-
-    def record(self, event: str, **fields) -> None:
-        if self._handle is None:
-            return
-        entry = {"t": time.time(), "event": event, **fields}
-        line = json.dumps(entry, sort_keys=True, default=repr)
-        with self._lock:
-            try:
-                self._handle.write(line + "\n")
-                self._handle.flush()
-            except (OSError, ValueError):
-                pass
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
 
 
 def _verdict_digest(result: dict) -> str:
@@ -205,8 +163,10 @@ class VerificationService:
         self.store: Optional[VerdictStore] = (
             VerdictStore(directory) if directory is not None else None)
         self.metrics = ServiceMetrics()
-        self.audit: Optional[_AuditLedger] = (
-            _AuditLedger(os.path.join(directory, "audit.jsonl"))
+        #: The append-only audit ledger beside the store segments: one
+        #: line per submission and per completion.
+        self.audit_path: Optional[str] = (
+            os.path.join(directory, "audit.jsonl")
             if directory is not None else None)
         self.started_at = time.time()
         self._lock = threading.Lock()
@@ -358,20 +318,21 @@ class VerificationService:
         self._audit_submission(job, client, "queue")
         return job, "queue"
 
+    def _audit(self, event: str, **fields) -> None:
+        if self.audit_path is not None:
+            append_jsonl(self.audit_path,
+                         {"t": time.time(), "event": event, **fields})
+
     def _audit_submission(self, job: Job, client: Optional[str],
                           served_from: str) -> None:
-        if self.audit is None:
-            return
-        self.audit.record(
+        self._audit(
             "submitted", job=job.id, kind=job.canonical["kind"],
             digest=job.digest, client=client,
             trace=job.trace.trace_id if job.trace is not None else None,
             served_from=served_from)
 
     def _audit_completion(self, job: Job) -> None:
-        if self.audit is None:
-            return
-        self.audit.record(
+        self._audit(
             "completed", job=job.id, kind=job.canonical["kind"],
             digest=job.digest, state=job.state, cached=job.cached,
             trace=job.trace.trace_id if job.trace is not None else None,
@@ -694,5 +655,3 @@ class VerificationService:
             self._pool = None
         if self.store is not None:
             self.store.close()
-        if self.audit is not None:
-            self.audit.close()

@@ -9,19 +9,17 @@ by the request's content address (:func:`repro.serve.jobs.request_digest`
 query is answered straight from the index without ever spawning a
 worker; that is the service's memcache story.
 
-Layout mirrors the cert store and shares its directory (``--store``,
-default the cert store's resolved dir)::
+Segments share the cert store's directory (``--store``, default the
+cert store's resolved dir), and their format and lifecycle are
+:mod:`repro.util.segments`::
 
     verdict-<pid>-<n>.vseg   one header line, then one JSON object per
                              line: {"d": digest, "k": kind, "r": result}
 
-Unlike the cert store, a service process is long-running and may be
-killed at any point, so entries are **appended and flushed per line**
-(the NDJSON stream discipline) instead of buffered until close — a
+A service is long-running and may be killed at any point, so unlike the
+cert store, entries are **appended and flushed per line** — a
 ``kill -9`` loses at most a partial trailing line, which the loader
-skips.  Segments written under another semantics version are ignored
-on load and reaped by :meth:`gc`.  Loading folds all segments, so
-concurrent service instances sharing a directory merge harmlessly.
+skips — and ``get`` sees this handle's own earlier writes.
 
 Memory model (ROADMAP item 1): the store no longer pins every parsed
 result in memory.  Load time builds a **digest → (segment, byte
@@ -42,23 +40,37 @@ pool-result callbacks all touch one handle.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from typing import IO, Optional
 
 from ..psna.semantics import SEMANTICS_VERSION
+from ..util.segments import COMPACT_SEGMENTS, SegmentFamily
 
 VERDICT_SCHEMA = "repro-verdict/1"
 SEGMENT_HEADER = "repro-verdict-store/1"
 
-#: ``close()`` compacts once the directory holds more segments than this.
-COMPACT_SEGMENTS = 16
-
 #: Default capacity of the parsed-result LRU (entries, not bytes —
 #: verdict payloads are litmus rows / adequacy verdicts of a few KB).
 DEFAULT_LRU_ENTRIES = 1024
+
+
+def _decode(line: str) -> Optional[dict]:
+    """One ``{"d": digest, "k": kind, "r": result}`` record, or ``None``
+    when the line is not one."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    if isinstance(record, dict) and isinstance(record.get("d"), str) \
+            and isinstance(record.get("r"), dict):
+        return record
+    return None
+
+
+def _parse_record(line: str) -> Optional[str]:
+    record = _decode(line)
+    return None if record is None else record["d"]
 
 
 class VerdictStore:
@@ -83,85 +95,12 @@ class VerdictStore:
         self._segment: Optional[IO[str]] = None
         self._segment_path: Optional[str] = None
         self._closed = False
-        self._load()
-
-    # -- segment I/O ------------------------------------------------------
-
-    def _segments(self) -> list[str]:
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return []
-        return sorted(os.path.join(self.directory, name)
-                      for name in names
-                      if name.startswith("verdict-")
-                      and name.endswith(".vseg"))
-
-    def _load(self) -> None:
-        for path in self._segments():
-            self._index_segment(path, self._index)
-
-    @staticmethod
-    def _index_segment(path: str,
-                       index: dict[str, tuple[Optional[str], int]]) -> bool:
-        """Fold one segment's record *offsets* into ``index``; returns
-        whether it carried the current semantics header.  Malformed
-        lines (truncation, garbage) are skipped — corruption degrades
-        to a miss, never a crash.  Results are not retained: the LRU
-        starts cold and fills on demand."""
-        try:
-            with open(path, "rb") as fh:
-                header_line = fh.readline()
-                header = (header_line.decode("utf-8", errors="replace")
-                          .rstrip("\n").split(" "))
-                if header != [SEGMENT_HEADER, SEMANTICS_VERSION]:
-                    return False
-                offset = len(header_line)
-                for raw in fh:
-                    line_offset, offset = offset, offset + len(raw)
-                    if not raw.endswith(b"\n"):
-                        continue  # partial trailing line (killed writer)
-                    try:
-                        record = json.loads(
-                            raw.decode("utf-8", errors="replace"))
-                    except ValueError:
-                        continue
-                    if not isinstance(record, dict):
-                        continue
-                    digest = record.get("d")
-                    if (isinstance(digest, str)
-                            and isinstance(record.get("r"), dict)):
-                        index[digest] = (path, line_offset)
-        except OSError:
-            return False
-        return True
-
-    @staticmethod
-    def _load_segment(path: str, into: dict[str, dict]) -> bool:
-        """Fold one segment's parsed records into ``into`` (the
-        compaction/GC path, which genuinely needs every result)."""
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                header = fh.readline().rstrip("\n").split(" ")
-                if header != [SEGMENT_HEADER, SEMANTICS_VERSION]:
-                    return False
-                for line in fh:
-                    if not line.endswith("\n"):
-                        continue  # partial trailing line (killed writer)
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if not isinstance(record, dict):
-                        continue
-                    digest = record.get("d")
-                    result = record.get("r")
-                    if isinstance(digest, str) and isinstance(result, dict):
-                        into[digest] = {"kind": record.get("k"),
-                                        "result": result}
-        except OSError:
-            return False
-        return True
+        self.segments = SegmentFamily(
+            directory, "verdict-", ".vseg",
+            f"{SEGMENT_HEADER} {SEMANTICS_VERSION}", _parse_record)
+        for path in self.segments.paths():
+            for digest, _, offset in self.segments.records(path):
+                self._index[digest] = (path, offset)
 
     def _read_entry(self, path: Optional[str],
                     offset: int) -> Optional[dict]:
@@ -174,37 +113,25 @@ class VerdictStore:
                 raw = fh.readline()
         except OSError:
             return None
-        if not raw.endswith(b"\n"):
-            return None
-        try:
-            record = json.loads(raw.decode("utf-8", errors="replace"))
-        except ValueError:
-            return None
-        if not isinstance(record, dict):
-            return None
-        result = record.get("r")
-        return result if isinstance(result, dict) else None
+        record = (_decode(raw.decode("utf-8", errors="replace"))
+                  if raw.endswith(b"\n") else None)
+        return None if record is None else record["r"]
 
     def _open_segment(self) -> Optional[IO[str]]:
+        if self._segment is None:
+            try:
+                self._segment_path, self._segment = self.segments.create()
+            except OSError:
+                return None
+        return self._segment
+
+    def _close_segment(self) -> None:
         if self._segment is not None:
-            return self._segment
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix="verdict-", suffix=".tmp",
-                                       dir=self.directory)
-            handle = os.fdopen(fd, "w", encoding="utf-8")
-            handle.write(f"{SEGMENT_HEADER} {SEMANTICS_VERSION}\n")
-            handle.flush()
-            final = os.path.join(
-                self.directory,
-                f"verdict-{os.getpid()}-"
-                f"{os.path.basename(tmp)[8:-4]}.vseg")
-            os.replace(tmp, final)
-        except OSError:
-            return None
-        self._segment = handle
-        self._segment_path = final
-        return handle
+            try:
+                self._segment.close()
+            except OSError:
+                pass
+            self._segment = None
 
     # -- LRU --------------------------------------------------------------
 
@@ -290,66 +217,20 @@ class VerdictStore:
             if self._closed:
                 return
             self._closed = True
-            if self._segment is not None:
-                try:
-                    self._segment.flush()
-                    self._segment.close()
-                except OSError:
-                    pass
-                self._segment = None
-            if len(self._segments()) > COMPACT_SEGMENTS:
-                self._compact()
+            self._close_segment()
+            if len(self.segments.paths()) > COMPACT_SEGMENTS:
+                self.segments.compact()
 
-    def _compact(self) -> None:
-        segments = self._segments()
-        merged: dict[str, dict] = {}
-        for path in segments:
-            self._load_segment(path, merged)
-        try:
-            fd, tmp = tempfile.mkstemp(prefix="verdict-", suffix=".tmp",
-                                       dir=self.directory)
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(f"{SEGMENT_HEADER} {SEMANTICS_VERSION}\n")
-                for digest in sorted(merged):
-                    entry = merged[digest]
-                    fh.write(json.dumps({"d": digest, "k": entry["kind"],
-                                         "r": entry["result"]},
-                                        sort_keys=True) + "\n")
-            final = os.path.join(
-                self.directory,
-                f"verdict-{os.getpid()}-"
-                f"{os.path.basename(tmp)[8:-4]}.vseg")
-            os.replace(tmp, final)
-        except OSError:
-            return
-        for path in segments:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def gc(self) -> dict:
-        """Reap stale-semantics segments; returns counts."""
+    def clear(self) -> int:
+        """Drop every segment; returns how many entries were removed."""
         with self._lock:
-            stale = 0
-            for path in self._segments():
-                probe: dict[str, dict] = {}
-                if not self._load_segment(path, probe):
-                    stale += 1
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-            return {"stale_segments": stale}
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self._segments():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                pass
-        return total
+            removed = len(self._index)
+            self._close_segment()
+            self.segments.clear()
+            self._index = {}
+            self._resident = {}
+            self._lru.clear()
+            return removed
 
     def stats(self) -> dict:
         """The ``repro-verdict/1`` stats payload (also an endpoint body)."""
@@ -360,8 +241,8 @@ class VerdictStore:
                 "directory": self.directory,
                 "semantics": SEMANTICS_VERSION,
                 "entries": len(self._index),
-                "segments": len(self._segments()),
-                "size_bytes": self.size_bytes(),
+                "segments": len(self.segments.paths()),
+                "size_bytes": self.segments.size_bytes(),
                 "hits": self.hits,
                 "misses": self.misses,
                 "writes": self.writes,

@@ -131,6 +131,35 @@ def test_litmus_json_format(capsys):
     assert all(case["agree"] for case in payload["cases"])
 
 
+def test_litmus_renderer_mismatch_and_incomplete_rows(capsys):
+    """The shared renderer behind ``repro litmus`` and ``repro client
+    litmus`` on the rows no catalog sweep produces: a mismatch and an
+    incomplete game."""
+    import json
+
+    from repro.runner import render_litmus
+
+    rows = [{"case": "a", "expected": "valid", "measured": "valid",
+             "agree": True, "complete": True, "incomplete_reasons": [],
+             "game_states": 3},
+            {"case": "b", "expected": "valid", "measured": "invalid",
+             "agree": False, "complete": False,
+             "incomplete_reasons": ["max_states"], "game_states": 9}]
+    assert render_litmus(rows, as_json=False) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"{'a':36s} valid     valid     ok       -",
+        f"{'b':36s} valid     invalid   MISMATCH max_states",
+        "1/2 verdicts match"]
+    assert captured.err == (
+        "warning: case 'b': refinement game incomplete — exhausted "
+        "bounds: max_states; its verdict may be based on a truncated "
+        "search\n")
+    assert render_litmus(rows, as_json=True) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "litmus", "total": 2, "mismatches": 1, "cases": rows}
+
+
 class TestAdequacy:
     def test_adequate_pair(self, capsys):
         assert main(["adequacy", SLF_SRC, SLF_TGT]) == 0
