@@ -10,7 +10,7 @@ and ``benchmark.extra_info``.
 At session end, each benchmark module's entries are written through
 :mod:`repro.obs.report` to ``BENCH_<name>.json`` at the repository root —
 the machine-readable perf-trajectory files compared across PRs (schema
-``repro-bench/1``; validate with ``python -m repro.obs.report
+``repro-bench/1``; validate with ``python -m repro.obs
 BENCH_*.json``).
 
 ``REPRO_BENCH_ROUNDS`` controls timing rounds (default 3; CI smoke uses

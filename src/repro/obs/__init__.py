@@ -32,7 +32,7 @@ from typing import Iterator, Optional, Union
 
 from . import report
 from .attrib import AttribRecorder
-from .events import EVENTS_SCHEMA, EventStream, read_events
+from .events import EVENTS_SCHEMA, EventStream
 from .metrics import Histogram, MetricsRegistry, diff_snapshots
 from .monitor import MONITOR_SCHEMA, Monitor
 from .statespace import GRAPH_SCHEMA, GraphRecorder
@@ -44,17 +44,15 @@ from .trace import (
     NullSink,
     Span,
     TraceSink,
-    read_trace,
     TRACE_SCHEMA,
 )
 
 __all__ = [
     "Histogram", "MetricsRegistry", "diff_snapshots",
-    "JsonlSink", "MemorySink", "NullSink", "TraceSink", "read_trace",
+    "JsonlSink", "MemorySink", "NullSink", "TraceSink",
     "TRACE_SCHEMA", "EVENTS_SCHEMA", "GRAPH_SCHEMA", "MONITOR_SCHEMA",
     "report",
     "AttribRecorder", "EventStream", "GraphRecorder", "Monitor",
-    "read_events",
     "ObsSession", "session", "start", "stop", "active", "enabled",
     "metrics", "span", "event", "inc", "gauge", "observe",
     "collect_into", "attribution", "graph", "stream", "monitor",

@@ -22,7 +22,7 @@ stack.
 Two export formats:
 
 * ``repro-attrib/1`` — the JSON payload (:func:`attrib_payload`),
-  validated by :func:`validate_attrib_payload`;
+  validated through :mod:`repro.obs.schemas`;
 * folded stacks (:func:`render_folded`) — ``a;b;c <weight>`` lines with
   integer microsecond weights, directly consumable by speedscope and
   Brendan Gregg's ``flamegraph.pl``.
@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-ATTRIB_SCHEMA = "repro-attrib/1"
+from .schemas import ATTRIB_SCHEMA
+
 
 #: Synthetic frame prefix marking an apportioned rule (not a real span).
 RULE_FRAME_PREFIX = "rule:"
@@ -185,37 +186,6 @@ def attrib_payload(recorder_or_frames, counters: Optional[dict] = None,
     if meta:
         payload["meta"] = dict(meta)
     return payload
-
-
-def validate_attrib_payload(payload: dict) -> list[str]:
-    """Structural problems of an attrib payload (empty = valid)."""
-    problems = []
-    if payload.get("schema") != ATTRIB_SCHEMA:
-        problems.append(f"schema is {payload.get('schema')!r}, "
-                        f"expected {ATTRIB_SCHEMA!r}")
-    total = payload.get("total_s")
-    if not isinstance(total, (int, float)) or total < 0:
-        problems.append(f"total_s = {total!r} is not a non-negative number")
-    for section, required in (("frames", ("stack", "self_s", "total_s",
-                                          "visits")),
-                              ("rules", ("stack", "est_s", "visits"))):
-        rows = payload.get(section)
-        if not isinstance(rows, list):
-            problems.append(f"missing/non-list section {section!r}")
-            continue
-        for index, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"{section}[{index}] is not an object")
-                continue
-            for key in required:
-                if key not in row:
-                    problems.append(f"{section}[{index}] lacks {key!r}")
-            stack = row.get("stack")
-            if not isinstance(stack, list) or not stack or not all(
-                    isinstance(part, str) and part for part in stack):
-                problems.append(f"{section}[{index}].stack is not a "
-                                f"non-empty list of names")
-    return problems
 
 
 def folded_lines(payload: dict) -> list[str]:

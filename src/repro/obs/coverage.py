@@ -31,7 +31,6 @@ a test-suite run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,8 +40,8 @@ from ..psna.machine import CERT_RULE_TAGS, MACHINE_RULE_TAGS
 from ..psna.thread import THREAD_RULE_TAGS
 from ..seq.machine import SEQ_RULE_TAGS
 from ..seq.refinement import GAME_RULE_TAGS
-
-COVERAGE_SCHEMA = "repro-coverage/1"
+from .report import write_report
+from .schemas import COVERAGE_SCHEMA
 
 #: Counter-name prefix marking rule firings in a metrics snapshot.
 RULE_PREFIX = "rule."
@@ -186,39 +185,6 @@ def uncovered(payload: dict) -> list[str]:
     return list(payload.get("uncovered", []))
 
 
-def validate_coverage_payload(payload: dict) -> list[str]:
-    """Structural problems of a coverage payload (empty = valid)."""
-    problems = []
-    if payload.get("schema") != COVERAGE_SCHEMA:
-        problems.append(f"schema is {payload.get('schema')!r}, "
-                        f"expected {COVERAGE_SCHEMA!r}")
-    rules = payload.get("rules")
-    if not isinstance(rules, list) or not rules:
-        problems.append("missing/empty rules list")
-        return problems
-    zero: list[str] = []
-    for index, row in enumerate(rules):
-        if not isinstance(row, dict):
-            problems.append(f"rules[{index}] is not an object")
-            continue
-        for key in ("id", "layer", "description"):
-            if not isinstance(row.get(key), str):
-                problems.append(f"rules[{index}] lacks string {key!r}")
-        count = row.get("count")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            problems.append(f"rules[{index}].count = {count!r} is not a "
-                            f"non-negative integer")
-        elif count == 0 and isinstance(row.get("id"), str):
-            zero.append(row["id"])
-    declared = payload.get("uncovered")
-    if not isinstance(declared, list):
-        problems.append("missing/non-list uncovered section")
-    elif sorted(declared) != sorted(zero):
-        problems.append(f"uncovered list {declared!r} does not match the "
-                        f"zero-count rules {zero!r}")
-    return problems
-
-
 def render_coverage_table(payload: dict,
                           title: str = "rule coverage") -> str:
     """A per-rule firing table grouped by layer, never-fired rules loud."""
@@ -256,15 +222,7 @@ def render_coverage_table(payload: dict,
 def write_coverage_report(path: str, snapshot: dict,
                           meta: Optional[dict] = None) -> dict:
     """Write a validated coverage report; returns the payload written."""
-    payload = coverage_payload(snapshot, meta)
-    problems = validate_coverage_payload(payload)
-    if problems:
-        raise ValueError("refusing to write invalid coverage report: "
-                         + "; ".join(problems))
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
+    return write_report(path, coverage_payload(snapshot, meta))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ artifact, an email attachment, or a local ``file://`` open::
 
     python -m repro.obs dashboard --out dashboard.html
 
+Inputs are found by their default file names under ``--root``
+(:data:`INPUTS`) and validated through :mod:`repro.obs.schemas`.
 Sections (each renders a "no data" placeholder when its input is
-absent, so the page always builds):
+absent or invalid, so the page always builds):
 
 * **stat tiles** — benchmarks, ledger depth, rule coverage, attribution
   total, fuzz verdict;
@@ -51,25 +53,29 @@ from __future__ import annotations
 
 import glob
 import html
-import json
 import math
 import os
 import re
 from typing import Optional, Sequence
 
 from .history import DEFAULT_LEDGER, compute_trends, read_ledger
-from .provenance import provenance_meta
-from .report import validate_bench_payload
+from .schemas import (ATTRIB_SCHEMA, BENCH_SCHEMA, CERTSTORE_SCHEMA,
+                      COVERAGE_SCHEMA, GRAPH_SCHEMA, MONITOR_SCHEMA,
+                      SERVE_SCHEMA, SERVEMETRICS_SCHEMA, load)
 
-#: Default input locations probed under ``--root``.
-DEFAULT_COVERAGE = "coverage-rules.json"
-DEFAULT_ATTRIB = "attrib.json"
-DEFAULT_FUZZ = "fuzz-summary.txt"
-DEFAULT_GRAPH = "graph-stats.json"
-DEFAULT_MONITOR = "monitor.json"
-DEFAULT_CERTSTORE = "cert-store.json"
-DEFAULT_SERVE = "serve-stats.json"
-DEFAULT_SERVEMETRICS = "servemetrics.json"
+#: The JSON inputs probed under ``--root``: panel -> (file, schema).
+INPUTS = {
+    "coverage": ("coverage-rules.json", COVERAGE_SCHEMA),
+    "attrib": ("attrib.json", ATTRIB_SCHEMA),
+    "graph": ("graph-stats.json", GRAPH_SCHEMA),
+    "monitor": ("monitor.json", MONITOR_SCHEMA),
+    "certstore": ("cert-store.json", CERTSTORE_SCHEMA),
+    "serve": ("serve-stats.json", SERVE_SCHEMA),
+    "servemetrics": ("servemetrics.json", SERVEMETRICS_SCHEMA),
+}
+
+#: The latest fuzz campaign summary, shown verbatim.
+FUZZ_SUMMARY = "fuzz-summary.txt"
 
 _CSS = """
 :root { color-scheme: light dark; }
@@ -649,113 +655,35 @@ def build_dashboard(benches: Sequence[dict], records: Sequence[dict],
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: str) -> Optional[dict]:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
+def load_inputs(root: str) -> tuple[dict, list[str]]:
+    """Every dashboard input found under ``root``, each validated
+    through the schema table: ``(inputs, problems)``.
 
-
-def collect_inputs(root: str, ledger: Optional[str] = None,
-                   coverage: Optional[str] = None,
-                   attrib: Optional[str] = None,
-                   fuzz: Optional[str] = None,
-                   graph: Optional[str] = None,
-                   monitor: Optional[str] = None,
-                   certstore: Optional[str] = None,
-                   serve: Optional[str] = None,
-                   servemetrics: Optional[str] = None) -> dict:
-    """Gather every dashboard input under ``root`` (missing = None)."""
-    benches = []
+    ``inputs`` holds the keyword arguments of :func:`build_dashboard`.
+    An input that is missing or fails validation is left out (its
+    panel shows no data); the problems name the failing files.
+    """
+    inputs: dict = {"benches": [], "records": []}
+    problems: list[str] = []
     for path in sorted(glob.glob(os.path.join(root, "BENCH_*.json"))):
-        payload = _load_json(path)
-        if payload is not None and not validate_bench_payload(payload):
-            benches.append(payload)
-    ledger_path = ledger or os.path.join(root, DEFAULT_LEDGER)
-    records: list[dict] = []
-    if os.path.exists(ledger_path):
-        records, _problems = read_ledger(ledger_path)
-    coverage_path = coverage or os.path.join(root, DEFAULT_COVERAGE)
-    attrib_path = attrib or os.path.join(root, DEFAULT_ATTRIB)
-    fuzz_path = fuzz or os.path.join(root, DEFAULT_FUZZ)
-    graph_path = graph or os.path.join(root, DEFAULT_GRAPH)
-    monitor_path = monitor or os.path.join(root, DEFAULT_MONITOR)
-    certstore_path = certstore or os.path.join(root, DEFAULT_CERTSTORE)
-    serve_path = serve or os.path.join(root, DEFAULT_SERVE)
-    servemetrics_path = (servemetrics
-                         or os.path.join(root, DEFAULT_SERVEMETRICS))
-    fuzz_summary = None
-    if os.path.exists(fuzz_path):
-        try:
-            with open(fuzz_path) as handle:
-                fuzz_summary = handle.read()
-        except OSError:
-            fuzz_summary = None
-    return {
-        "benches": benches,
-        "records": records,
-        "coverage": _load_json(coverage_path),
-        "attrib": _load_json(attrib_path),
-        "fuzz_summary": fuzz_summary,
-        "graph": _load_json(graph_path),
-        "monitor": _load_json(monitor_path),
-        "certstore": _load_json(certstore_path),
-        "serve": _load_json(serve_path),
-        "servemetrics": _load_json(servemetrics_path),
-    }
-
-
-def main(argv: Sequence[str]) -> int:
-    """``dashboard --out FILE [--root DIR] [...]``; exit 0/2."""
-    args = list(argv)
-    options = {"--out": None, "--root": ".", "--ledger": None,
-               "--coverage": None, "--attrib": None, "--fuzz": None,
-               "--graph": None, "--monitor": None, "--certstore": None,
-               "--serve": None, "--servemetrics": None, "--top": "20"}
-    for name in list(options):
-        if name in args:
-            index = args.index(name)
-            try:
-                options[name] = args[index + 1]
-            except IndexError:
-                print(f"dashboard: {name} needs a value")
-                return 2
-            del args[index:index + 2]
-    if args or not options["--out"]:
-        print("usage: python -m repro.obs dashboard --out FILE "
-              "[--root DIR] [--ledger FILE] [--coverage FILE] "
-              "[--attrib FILE] [--fuzz FILE] [--graph FILE] "
-              "[--monitor FILE] [--certstore FILE] [--serve FILE] "
-              "[--servemetrics FILE] [--top N]")
-        return 2
-    inputs = collect_inputs(options["--root"], ledger=options["--ledger"],
-                            coverage=options["--coverage"],
-                            attrib=options["--attrib"],
-                            fuzz=options["--fuzz"],
-                            graph=options["--graph"],
-                            monitor=options["--monitor"],
-                            certstore=options["--certstore"],
-                            serve=options["--serve"],
-                            servemetrics=options["--servemetrics"])
-    page = build_dashboard(inputs["benches"], inputs["records"],
-                           coverage=inputs["coverage"],
-                           attrib=inputs["attrib"],
-                           fuzz_summary=inputs["fuzz_summary"],
-                           graph=inputs["graph"],
-                           monitor=inputs["monitor"],
-                           certstore=inputs["certstore"],
-                           serve=inputs["serve"],
-                           servemetrics=inputs["servemetrics"],
-                           meta=provenance_meta(options["--root"]),
-                           top=int(options["--top"]))
+        _schema, payload, issues = load(path, BENCH_SCHEMA)
+        problems += [f"{path}: {issue}" for issue in issues]
+        if not issues:
+            inputs["benches"].append(payload)
+    ledger = os.path.join(root, DEFAULT_LEDGER)
+    if os.path.exists(ledger):
+        inputs["records"], issues = read_ledger(ledger)
+        problems += issues
+    for key, (name, schema) in INPUTS.items():
+        path = os.path.join(root, name)
+        if os.path.exists(path):
+            _schema, data, issues = load(path, schema)
+            problems += [f"{path}: {issue}" for issue in issues]
+            if not issues:
+                inputs[key] = data
     try:
-        with open(options["--out"], "w") as handle:
-            handle.write(page)
-    except OSError as error:
-        print(f"dashboard: cannot write {options['--out']}: {error}")
-        return 2
-    print(f"dashboard written to {options['--out']} "
-          f"({len(inputs['benches'])} bench report(s), "
-          f"{len(inputs['records'])} ledger record(s))")
-    return 0
+        with open(os.path.join(root, FUZZ_SUMMARY)) as handle:
+            inputs["fuzz_summary"] = handle.read()
+    except OSError:
+        pass
+    return inputs, problems

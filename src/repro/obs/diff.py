@@ -28,12 +28,11 @@ Severity order for aggregation: 2 > 3 > 1 > 0.
 from __future__ import annotations
 
 import glob
-import json
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .report import validate_bench_payload
+from .schemas import BENCH_SCHEMA, load
 
 DEFAULT_TOLERANCE = 0.25
 
@@ -131,22 +130,14 @@ def render_diff_table(diff: BenchDiff) -> str:
     return "\n".join(lines)
 
 
-def _load_bench(path: str) -> tuple[Optional[dict], list[str]]:
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        return None, [f"{path}: unreadable ({error})"]
-    problems = validate_bench_payload(payload)
-    return payload, [f"{path}: {problem}" for problem in problems]
-
-
 def _diff_files(old_path: str, new_path: str, tolerance: float) -> int:
-    old, old_problems = _load_bench(old_path)
-    new, new_problems = _load_bench(new_path)
-    for problem in old_problems + new_problems:
+    _, old, old_problems = load(old_path, BENCH_SCHEMA)
+    _, new, new_problems = load(new_path, BENCH_SCHEMA)
+    problems = ([f"{old_path}: {problem}" for problem in old_problems]
+                + [f"{new_path}: {problem}" for problem in new_problems])
+    for problem in problems:
         print(problem)
-    if old is None or new is None or old_problems or new_problems:
+    if problems:
         return 2
     diff = diff_bench_payloads(old, new, tolerance)
     print(render_diff_table(diff))

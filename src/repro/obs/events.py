@@ -44,7 +44,8 @@ import time
 from collections import deque
 from typing import IO, Optional, Union
 
-EVENTS_SCHEMA = "repro-events/1"
+from .schemas import EVENTS_SCHEMA
+
 
 #: Flight-recorder depth: how many trailing events a stream retains.
 DEFAULT_RING = 256
@@ -144,36 +145,6 @@ class EventStream:
             self._file.flush()
             if self._owns:
                 self._file.close()
-
-
-def read_events(source: Union[str, IO[str]]) -> list[dict]:
-    """Parse an NDJSON event stream back into a list of dicts."""
-    if isinstance(source, str):
-        with open(source) as handle:
-            return [json.loads(line) for line in handle if line.strip()]
-    return [json.loads(line) for line in source if line.strip()]
-
-
-def validate_events(events: list[dict]) -> list[str]:
-    """Problems with a parsed ``repro-events/1`` stream (empty = valid)."""
-    problems: list[str] = []
-    if not events:
-        return ["empty stream (no meta line)"]
-    head = events[0]
-    if head.get("ev") != "meta" or head.get("schema") != EVENTS_SCHEMA:
-        problems.append(f"first event is not a {EVENTS_SCHEMA} meta line")
-    last_seq = -1
-    for index, event in enumerate(events):
-        for field in ("ev", "seq", "t"):
-            if field not in event:
-                problems.append(f"events[{index}] lacks {field!r}")
-        seq = event.get("seq")
-        if isinstance(seq, int):
-            if seq <= last_seq:
-                problems.append(f"events[{index}] seq {seq} not monotonic "
-                                f"(after {last_seq})")
-            last_seq = seq
-    return problems
 
 
 def render_flight(dump: dict) -> str:

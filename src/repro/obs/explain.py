@@ -39,7 +39,7 @@ from ..psna.memory import NAMessage
 from ..psna.thread import PsConfig
 from ..seq.machine import SeqConfig, seq_steps, universe_for
 from ..seq.refinement import Counterexample, Limits, _Game, _Item
-from .trace import read_trace
+from .schemas import TRACE_SCHEMA, load
 
 # ---------------------------------------------------------------------------
 # The shared timeline form
@@ -363,11 +363,11 @@ _TRACE_SKIP_FIELDS = {"ev", "name", "t", "dur_s", "depth"}
 
 def explain_trace(path_or_events, title: Optional[str] = None) -> Timeline:
     """Render a ``repro-trace/1`` JSONL stream as an indented timeline."""
-    if isinstance(path_or_events, (str, list)):
-        events = (read_trace(path_or_events)
-                  if isinstance(path_or_events, str) else path_or_events)
-    else:
-        events = read_trace(path_or_events)
+    events = path_or_events
+    if isinstance(path_or_events, str):
+        _schema, events, problems = load(path_or_events, TRACE_SCHEMA)
+        if events is None:
+            raise OSError("; ".join(problems))
     timeline = Timeline(title or "trace timeline")
     t0 = next((event.get("t") for event in events
                if isinstance(event.get("t"), (int, float))), None)

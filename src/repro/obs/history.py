@@ -34,18 +34,13 @@ from typing import Optional, Sequence
 
 from .provenance import created_at as _created_at
 from .provenance import git_sha as _git_sha
-from .report import validate_bench_payload
-
-HISTORY_SCHEMA = "repro-history/1"
+from .schemas import BENCH_SCHEMA, HISTORY_SCHEMA, load, validate
 
 #: Default ledger path, relative to the working directory (CI caches it).
 DEFAULT_LEDGER = "repro-history.jsonl"
 
 DEFAULT_WINDOW = 3
 DEFAULT_TOLERANCE = 0.25
-
-_REQUIRED = ("schema", "git_sha", "created_at", "bench", "entry",
-             "min_s", "median_s", "digest", "incomplete")
 
 
 def entry_digest(entry: dict) -> str:
@@ -110,29 +105,10 @@ def read_ledger(path: str) -> tuple[list[dict], list[str]]:
     Malformed lines are reported and skipped, never fatal — the ledger
     outlives any one writer's crash.
     """
-    records: list[dict] = []
-    problems: list[str] = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                problems.append(f"{path}:{number}: unparsable ({error})")
-                continue
-            missing = [key for key in _REQUIRED if key not in record]
-            if record.get("schema") != HISTORY_SCHEMA:
-                problems.append(f"{path}:{number}: schema is "
-                                f"{record.get('schema')!r}, expected "
-                                f"{HISTORY_SCHEMA!r}")
-            elif missing:
-                problems.append(f"{path}:{number}: lacks "
-                                + ", ".join(repr(key) for key in missing))
-            else:
-                records.append(record)
-    return records, problems
+    _schema, lines, problems = load(path, HISTORY_SCHEMA)
+    records = [record for record in lines or [] if isinstance(record, dict)
+               and not validate(record, HISTORY_SCHEMA)]
+    return records, [f"{path}: {problem}" for problem in problems]
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +278,7 @@ def _record(args: list[str]) -> int:
         return 2
     total = 0
     for path in paths:
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"history record: {path}: unreadable ({error})")
-            return 2
-        problems = validate_bench_payload(payload)
+        _schema, payload, problems = load(path, BENCH_SCHEMA)
         if problems:
             print(f"history record: {path}: " + "; ".join(problems))
             return 2

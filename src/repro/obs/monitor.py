@@ -59,12 +59,13 @@ import is deferred to call time.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from typing import Optional
 
-MONITOR_SCHEMA = "repro-monitor/1"
+from .report import write_report
+from .schemas import MONITOR_SCHEMA
+
 
 #: ``strict`` mode re-executes one in this many cache hits uncached.
 DEFAULT_DIVERGENCE_STRIDE = 8
@@ -919,48 +920,10 @@ def monitor_payload(monitor: Monitor, meta: Optional[dict] = None,
     return payload
 
 
-def validate_monitor_payload(payload: dict) -> list[str]:
-    """Problems with a ``repro-monitor/1`` payload (empty = valid)."""
-    problems: list[str] = []
-    if payload.get("schema") != MONITOR_SCHEMA:
-        problems.append(f"schema is {payload.get('schema')!r}, "
-                        f"expected {MONITOR_SCHEMA!r}")
-    if payload.get("mode") not in ("strict", "sample"):
-        problems.append(f"mode is {payload.get('mode')!r}")
-    invariants = payload.get("invariants")
-    if not isinstance(invariants, dict):
-        return problems + ["missing/non-dict section 'invariants'"]
-    for name, entry in invariants.items():
-        if not isinstance(entry, dict):
-            problems.append(f"invariants.{name} is not an object")
-            continue
-        for field in ("checks", "violations", "injected"):
-            value = entry.get(field)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                problems.append(f"invariants.{name}.{field} = {value!r} "
-                                f"is not a non-negative integer")
-        witness = entry.get("witness")
-        if witness is not None and (not isinstance(witness, dict)
-                                    or not isinstance(
-                                        witness.get("detail"), str)):
-            problems.append(f"invariants.{name}.witness lacks a detail "
-                            f"string")
-    return problems
-
-
 def write_monitor_report(path: str, monitor: Monitor,
                          meta: Optional[dict] = None) -> dict:
     """Write a validated ``repro-monitor/1`` report; returns the payload."""
-    payload = monitor_payload(monitor, meta=meta)
-    problems = validate_monitor_payload(payload)
-    if problems:
-        raise ValueError("refusing to write invalid monitor report: "
-                         + "; ".join(problems))
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=repr)
-        handle.write("\n")
-    return payload
+    return write_report(path, monitor_payload(monitor, meta=meta))
 
 
 def render_monitor_table(payload: dict,

@@ -8,11 +8,12 @@ One front end over the artifact families the toolchain writes:
 * ``repro-servemetrics/1`` — service metrics snapshots
   (``GET /v1/metrics?format=json``).
 
-The artifact kind is auto-detected: a file that parses as one JSON
-object with a ``repro-graph/1`` (or ``repro-servemetrics/1``) schema
-is a graph (metrics) report; otherwise the first line's ``schema``
-field picks the stream dialect (both JSONL dialects share the per-line
-shape, so trace files work with the same filters).  ``--kind metrics``
+The artifact is read and validated by :func:`repro.obs.schemas.load`,
+whose schema picks the query: a ``repro-graph/1`` (or
+``repro-servemetrics/1``) document is a graph (metrics) report, and any
+stream is queried line by line (the JSONL dialects share the per-line
+shape, so trace files work with the same filters).  An artifact that
+does not validate is an error.  ``--kind metrics``
 forces the servemetrics interpretation (and errors when the artifact
 is something else).  A metrics artifact flattens to one event-shaped
 row per metric (``ev: "metric"``), so the line filters compose
@@ -54,12 +55,8 @@ import time
 from collections import deque
 from typing import Optional
 
-from .statespace import GRAPH_SCHEMA, dedup_ratio
-
-#: Declared here (not imported) so loading a query artifact never
-#: drags the whole service package in; :mod:`repro.serve.metrics` is
-#: imported lazily only when a metrics artifact is actually queried.
-SERVEMETRICS_SCHEMA = "repro-servemetrics/1"
+from .schemas import GRAPH_SCHEMA, SERVEMETRICS_SCHEMA, load
+from .statespace import dedup_ratio
 
 #: Event fields consulted by ``--rule`` (a rule id can ride along in
 #: any of these, depending on the event kind).
@@ -70,44 +67,6 @@ _RULE_FIELDS = ("rule", "last_rule")
 #: ``stream-end`` is the explicit sentinel every service job stream
 #: emits (cached jobs have no rule counters, hence no ``coverage``).
 FOLLOW_END_EVENTS = frozenset({"coverage", "stream-end"})
-
-
-def load_artifact(path: str) -> tuple[str, object]:
-    """Read an artifact; returns ``(kind, data)``.
-
-    ``kind`` is ``"graph"`` / ``"metrics"`` (data: the payload dict) or
-    ``"events"`` (data: the list of parsed lines — trace files
-    included, they share the line shape).  Raises ``ValueError`` on
-    unparseable input.
-    """
-    with open(path) as handle:
-        text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            whole = json.loads(text)
-        except json.JSONDecodeError:
-            whole = None
-        if isinstance(whole, dict):
-            if whole.get("schema") == GRAPH_SCHEMA:
-                return "graph", whole
-            if whole.get("schema") == SERVEMETRICS_SCHEMA:
-                return "metrics", whole
-            if "graphs" in whole:
-                raise ValueError(
-                    f"{path}: schema {whole.get('schema')!r} is not "
-                    f"{GRAPH_SCHEMA!r}")
-    events = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path}:{number}: not JSON ({error})")
-    if not events:
-        raise ValueError(f"{path}: empty artifact")
-    return "events", events
 
 
 def filter_events(events: list[dict], kind: Optional[str] = None,
@@ -431,27 +390,26 @@ def run(options: argparse.Namespace) -> int:
             options.artifact, options,
             poll_s=getattr(options, "poll", 0.2),
             idle_timeout_s=getattr(options, "idle_timeout", 5.0))
-    try:
-        kind, data = load_artifact(options.artifact)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
+    schema, data, problems = load(options.artifact)
+    for problem in problems:
+        print(f"error: {options.artifact}: {problem}", file=sys.stderr)
+    if problems:
         return 2
-    if getattr(options, "kind", None) == "metrics":
-        if kind != "metrics":
-            print(f"error: {options.artifact}: --kind metrics but the "
-                  f"artifact is not {SERVEMETRICS_SCHEMA}",
-                  file=sys.stderr)
-            return 2
+    if getattr(options, "kind", None) == "metrics" \
+            and schema != SERVEMETRICS_SCHEMA:
+        print(f"error: {options.artifact}: --kind metrics but the "
+              f"artifact is not {SERVEMETRICS_SCHEMA}", file=sys.stderr)
+        return 2
+    if schema == SERVEMETRICS_SCHEMA:
         return _query_metrics(data, options)
-    if kind == "metrics":
-        return _query_metrics(data, options)
-    if kind == "graph":
+    if schema == GRAPH_SCHEMA:
         return _query_graph(data, options)
     if options.path_to:
-        print("error: --path-to needs a repro-graph/1 report with "
+        print(f"error: --path-to needs a {GRAPH_SCHEMA} report with "
               "elements", file=sys.stderr)
         return 2
-    return _query_events(data, options)
+    return _query_events(data if isinstance(data, list) else [data],
+                         options)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

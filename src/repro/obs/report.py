@@ -8,12 +8,9 @@ Two stable machine-readable schemas:
   :func:`write_bench_report` into ``BENCH_<name>.json`` at the repo root
   (the perf-trajectory files tracked across PRs).
 
-Both carry a ``schema`` field; :func:`validate_stats_payload` and
-:func:`validate_bench_payload` return a list of problems (empty = valid)
-and are what the CI benchmark smoke-check runs.  This module can also be
-executed directly to validate report files::
-
-    python -m repro.obs.report BENCH_*.json
+Both carry a ``schema`` field and are validated through
+:mod:`repro.obs.schemas`, as ``python -m repro.obs BENCH_*.json`` does
+in the CI benchmark smoke-check.
 """
 
 from __future__ import annotations
@@ -22,9 +19,7 @@ import json
 from typing import Optional, Sequence
 
 from .metrics import MetricsRegistry
-
-STATS_SCHEMA = "repro-stats/1"
-BENCH_SCHEMA = "repro-bench/1"
+from .schemas import BENCH_SCHEMA, STATS_SCHEMA, validate
 
 
 # ---------------------------------------------------------------------------
@@ -41,31 +36,6 @@ def stats_payload(metrics: MetricsRegistry | dict,
     if meta:
         payload["meta"] = dict(meta)
     return payload
-
-
-def validate_stats_payload(payload: dict) -> list[str]:
-    problems = []
-    if payload.get("schema") != STATS_SCHEMA:
-        problems.append(f"schema is {payload.get('schema')!r}, "
-                        f"expected {STATS_SCHEMA!r}")
-    for section, value_type in (("counters", (int,)),
-                                ("gauges", (int, float))):
-        section_value = payload.get(section)
-        if not isinstance(section_value, dict):
-            problems.append(f"missing/non-dict section {section!r}")
-            continue
-        for name, value in section_value.items():
-            if not isinstance(value, value_type) or isinstance(value, bool):
-                problems.append(f"{section}.{name} has non-numeric "
-                                f"value {value!r}")
-    histograms = payload.get("histograms")
-    if not isinstance(histograms, dict):
-        problems.append("missing/non-dict section 'histograms'")
-    else:
-        for name, summary in histograms.items():
-            if not isinstance(summary, dict) or "count" not in summary:
-                problems.append(f"histograms.{name} lacks a count")
-    return problems
 
 
 def render_stats_table(payload: dict, title: str = "stats") -> str:
@@ -127,129 +97,23 @@ def bench_payload(name: str, entries: Sequence[dict],
 def write_bench_report(name: str, entries: Sequence[dict], path: str,
                        meta: Optional[dict] = None) -> dict:
     """Write ``BENCH_<name>.json``; returns the payload written."""
-    payload = bench_payload(name, entries, meta)
-    problems = validate_bench_payload(payload)
+    return write_report(path, bench_payload(name, entries, meta))
+
+
+def write_report(path: str, payload: dict) -> dict:
+    """Write an artifact as indented, key-sorted JSON; returns it.
+
+    Raises ``ValueError`` and writes nothing when the payload does not
+    validate against its schema.
+    """
+    problems = validate(payload)
     if problems:
-        raise ValueError(f"refusing to write invalid bench report {name!r}: "
-                         + "; ".join(problems))
+        raise ValueError(f"refusing to write invalid {payload.get('schema')} "
+                         f"report: " + "; ".join(problems))
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, default=repr)
         handle.write("\n")
     return payload
-
-
-_ENTRY_REQUIRED = ("name", "rounds", "min_s", "mean_s", "max_s")
-
-
-def validate_bench_payload(payload: dict) -> list[str]:
-    problems = []
-    if payload.get("schema") != BENCH_SCHEMA:
-        problems.append(f"schema is {payload.get('schema')!r}, "
-                        f"expected {BENCH_SCHEMA!r}")
-    if not isinstance(payload.get("bench"), str) or not payload.get("bench"):
-        problems.append("missing bench name")
-    entries = payload.get("entries")
-    if not isinstance(entries, list) or not entries:
-        problems.append("missing/empty entries list")
-        return problems
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            problems.append(f"entries[{index}] is not an object")
-            continue
-        for key in _ENTRY_REQUIRED:
-            if key not in entry:
-                problems.append(f"entries[{index}] ({entry.get('name')}) "
-                                f"lacks {key!r}")
-        for key in ("min_s", "mean_s", "max_s"):
-            value = entry.get(key)
-            if key in entry and (not isinstance(value, (int, float))
-                                 or value < 0):
-                problems.append(f"entries[{index}].{key} = {value!r} "
-                                f"is not a non-negative number")
-    return problems
-
-
-def validate_certstore_payload(payload: dict) -> list[str]:
-    """Validate a ``repro cache stats --json`` artifact."""
-    problems = []
-    for key, kind in (("directory", str), ("semantics", str),
-                      ("entries", int), ("segments", int),
-                      ("size_bytes", int)):
-        value = payload.get(key)
-        if not isinstance(value, kind):
-            problems.append(f"{key} = {value!r} is not a {kind.__name__}")
-    history = payload.get("history")
-    if not isinstance(history, list):
-        problems.append("missing history list")
-    else:
-        for index, record in enumerate(history):
-            if not isinstance(record, dict):
-                problems.append(f"history[{index}] is not an object")
-    return problems
-
-
-def validate_verdict_payload(payload: dict) -> list[str]:
-    """Validate a ``repro-verdict/1`` stats artifact (the service's
-    verdict-store index: ``GET /v1/store/stats``)."""
-    problems = []
-    if payload.get("schema") != "repro-verdict/1":
-        problems.append(f"schema is {payload.get('schema')!r}, "
-                        f"expected 'repro-verdict/1'")
-    for key, kind in (("directory", str), ("semantics", str),
-                      ("entries", int), ("segments", int),
-                      ("size_bytes", int), ("hits", int),
-                      ("misses", int), ("writes", int)):
-        if not isinstance(payload.get(key), kind):
-            problems.append(f"{key} is not a {kind.__name__}")
-    rate = payload.get("hit_rate")
-    if not isinstance(rate, (int, float)) or not 0.0 <= rate <= 1.0:
-        problems.append("hit_rate is not a number in [0, 1]")
-    return problems
-
-
-def validate_report_file(path: str) -> list[str]:
-    """Validate one stats or bench report file by its schema field."""
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        return [f"{path}: unreadable ({error})"]
-    schema = payload.get("schema")
-    if schema == BENCH_SCHEMA:
-        problems = validate_bench_payload(payload)
-    elif schema == STATS_SCHEMA:
-        problems = validate_stats_payload(payload)
-    elif schema == "repro-certstore/1":
-        problems = validate_certstore_payload(payload)
-    elif schema == "repro-verdict/1":
-        problems = validate_verdict_payload(payload)
-    elif schema == "repro-servemetrics/1":
-        # Lazy import: validating a metrics snapshot must not require
-        # the HTTP service stack at import time.
-        from ..serve.metrics import validate_servemetrics
-
-        problems = validate_servemetrics(payload)
-    else:
-        from .attrib import ATTRIB_SCHEMA, validate_attrib_payload
-        from .monitor import MONITOR_SCHEMA, validate_monitor_payload
-        from .statespace import GRAPH_SCHEMA, validate_graph_payload
-
-        if schema == ATTRIB_SCHEMA:
-            problems = validate_attrib_payload(payload)
-        elif schema == GRAPH_SCHEMA:
-            problems = validate_graph_payload(payload)
-        elif schema == MONITOR_SCHEMA:
-            problems = validate_monitor_payload(payload)
-        else:
-            # Lazy import: coverage pulls in the instrumented machines,
-            # which plain stats/bench validation must not need.
-            from .coverage import COVERAGE_SCHEMA, validate_coverage_payload
-
-            if schema == COVERAGE_SCHEMA:
-                problems = validate_coverage_payload(payload)
-            else:
-                problems = [f"unknown schema {schema!r}"]
-    return [f"{path}: {problem}" for problem in problems]
 
 
 def _fmt(value) -> str:
@@ -258,20 +122,3 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
-
-
-def _main(argv: Sequence[str]) -> int:  # pragma: no cover - CI entry point
-    failures = []
-    for path in argv:
-        failures += validate_report_file(path)
-    for failure in failures:
-        print(failure)
-    print(f"{len(argv) - sum(1 for _ in {f.split(':')[0] for f in failures})}"
-          f"/{len(argv)} report files valid")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(_main(sys.argv[1:]))

@@ -26,10 +26,11 @@ the truncation.
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
-GRAPH_SCHEMA = "repro-graph/1"
+from .report import write_report
+from .schemas import GRAPH_SCHEMA
+
 
 #: Stored node+edge elements per builder before element capture stops.
 DEFAULT_ELEMENT_BUDGET = 20_000
@@ -321,54 +322,10 @@ def graph_payload(recorder: GraphRecorder,
     return payload
 
 
-def validate_graph_payload(payload: dict) -> list[str]:
-    """Problems with a ``repro-graph/1`` payload (empty = valid)."""
-    problems: list[str] = []
-    if payload.get("schema") != GRAPH_SCHEMA:
-        problems.append(f"schema is {payload.get('schema')!r}, "
-                        f"expected {GRAPH_SCHEMA!r}")
-    graphs = payload.get("graphs")
-    if not isinstance(graphs, dict):
-        return problems + ["missing/non-dict section 'graphs'"]
-    for name, stats in graphs.items():
-        if not isinstance(stats, dict):
-            problems.append(f"graphs.{name} is not an object")
-            continue
-        for field in _SUM_FIELDS + _MAX_FIELDS:
-            value = stats.get(field)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                problems.append(f"graphs.{name}.{field} = {value!r} is not "
-                                f"a non-negative integer")
-        for field in _DICT_FIELDS:
-            section = stats.get(field)
-            if section is None:
-                continue
-            if not isinstance(section, dict) or any(
-                    not isinstance(v, int) for v in section.values()):
-                problems.append(f"graphs.{name}.{field} is not a dict of "
-                                f"integers")
-        elements = stats.get("elements")
-        if elements is not None:
-            if not isinstance(elements.get("nodes"), list) \
-                    or not isinstance(elements.get("edges"), list):
-                problems.append(f"graphs.{name}.elements lacks nodes/edges "
-                                f"lists")
-    return problems
-
-
 def write_graph_report(path: str, recorder: GraphRecorder,
                        meta: Optional[dict] = None) -> dict:
     """Write a validated ``repro-graph/1`` report; returns the payload."""
-    payload = graph_payload(recorder, meta=meta)
-    problems = validate_graph_payload(payload)
-    if problems:
-        raise ValueError("refusing to write invalid graph report: "
-                         + "; ".join(problems))
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=repr)
-        handle.write("\n")
-    return payload
+    return write_report(path, graph_payload(recorder, meta=meta))
 
 
 def dedup_ratio(stats: dict) -> float:

@@ -30,8 +30,8 @@ import time
 from typing import IO, Optional, Union
 
 from .events import QUIET_SPANS
+from .schemas import TRACE_SCHEMA  # noqa: F401  (re-exported)
 
-TRACE_SCHEMA = "repro-trace/1"
 
 
 class TraceSink:
@@ -175,11 +175,3 @@ class _NullSpan:
 
 
 NULL_SPAN = _NullSpan()
-
-
-def read_trace(source: Union[str, IO[str]]) -> list[dict]:
-    """Parse a JSONL trace back into a list of event dicts."""
-    if isinstance(source, str):
-        with open(source) as handle:
-            return [json.loads(line) for line in handle if line.strip()]
-    return [json.loads(line) for line in source if line.strip()]

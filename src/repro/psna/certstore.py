@@ -40,13 +40,13 @@ from hashlib import blake2b
 from typing import Optional, Sequence
 
 from ..lang.interp import WhileThread
+from ..obs.schemas import CERTSTORE_SCHEMA as STORE_SCHEMA
 from ..util.segments import (  # noqa: F401  (re-exported)
     COMPACT_SEGMENTS, DEFAULT_DIR, ENV_DIR, SegmentFamily, append_jsonl,
     read_jsonl, resolve_dir)
 from .semantics import SEMANTICS_VERSION
 from .thread import PsConfig
 
-STORE_SCHEMA = "repro-certstore/1"
 SEGMENT_HEADER = "repro-cert-store/1"
 
 #: ``PsConfig`` fields that cannot change a certification verdict —

@@ -44,6 +44,7 @@ from typing import Optional
 
 from .. import __version__
 from ..obs.provenance import provenance_meta
+from ..obs.schemas import SERVE_SCHEMA
 from ..psna.semantics import SEMANTICS_VERSION
 from .jobs import JOB_KINDS, RequestError
 from .metrics import render_exposition
@@ -69,7 +70,7 @@ class _Handler(BaseHTTPRequestHandler):
     """One request; the service and settings hang off the server."""
 
     protocol_version = "HTTP/1.1"
-    server_version = "repro-serve/1"
+    server_version = SERVE_SCHEMA
 
     # -- plumbing ---------------------------------------------------------
 
@@ -207,7 +208,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _get_version(self) -> None:
         provenance = provenance_meta()
         self._send_json(200, {
-            "service": "repro-serve/1",
+            "service": SERVE_SCHEMA,
             "version": __version__,
             "semantics": SEMANTICS_VERSION,
             "python": provenance.get("python"),

@@ -17,8 +17,8 @@ Three surfaces, one source of truth:
   (counters, gauges, fixed-bucket histograms, bounded sample rings
   for sparklines), owned by :class:`~repro.serve.service.
   VerificationService`;
-* ``repro-servemetrics/1`` — the JSON snapshot schema
-  (:func:`validate_servemetrics`), consumed by ``repro query``, the
+* ``repro-servemetrics/1`` — the JSON snapshot schema (validated
+  through :mod:`repro.obs.schemas`), consumed by ``repro query``, the
   dashboard's Service-health panel, and CI artifacts;
 * :func:`render_exposition` — the Prometheus text format served at
   ``GET /v1/metrics`` (``repro_serve_*`` names, cumulative
@@ -48,9 +48,8 @@ from bisect import bisect_left
 from collections import deque
 from typing import Optional, Sequence
 
+from ..obs.schemas import SERVEMETRICS_SCHEMA
 from ..psna.semantics import SEMANTICS_VERSION
-
-SERVEMETRICS_SCHEMA = "repro-servemetrics/1"
 
 #: The fixed latency ladder, in seconds.  Fixed means *fixed*: every
 #: process, worker count, and run buckets identically, which is what
@@ -221,81 +220,6 @@ class ServiceMetrics:
             self._gauges.clear()
             self._histograms.clear()
             self._samples.clear()
-
-
-def validate_servemetrics(payload) -> list[str]:
-    """Problems (empty when valid) for a ``repro-servemetrics/1``
-    payload — the :mod:`repro.obs.report` validator branch."""
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not an object"]
-    if payload.get("schema") != SERVEMETRICS_SCHEMA:
-        problems.append(f"schema is not {SERVEMETRICS_SCHEMA}")
-    if not isinstance(payload.get("semantics"), str):
-        problems.append("semantics missing or not a string")
-    counters = payload.get("counters")
-    if not isinstance(counters, dict):
-        problems.append("counters missing or not an object")
-    else:
-        for name, value in counters.items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                problems.append(f"counter {name} is not an integer")
-            elif value < 0:
-                problems.append(f"counter {name} is negative")
-    gauges = payload.get("gauges")
-    if not isinstance(gauges, dict):
-        problems.append("gauges missing or not an object")
-    else:
-        for name, value in gauges.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"gauge {name} is not a number")
-    histograms = payload.get("histograms")
-    if not isinstance(histograms, dict):
-        problems.append("histograms missing or not an object")
-    else:
-        for name, summary in histograms.items():
-            problems.extend(f"histogram {name}: {issue}"
-                            for issue in _summary_problems(summary))
-    samples = payload.get("samples")
-    if samples is not None and not isinstance(samples, dict):
-        problems.append("samples is not an object")
-    elif isinstance(samples, dict):
-        for name, series in samples.items():
-            if (not isinstance(series, list)
-                    or not all(isinstance(v, (int, float))
-                               and not isinstance(v, bool)
-                               for v in series)):
-                problems.append(f"sample series {name} is not a number list")
-    return problems
-
-
-def _summary_problems(summary) -> list[str]:
-    if not isinstance(summary, dict):
-        return ["not an object"]
-    problems = []
-    bounds = summary.get("le")
-    if (not isinstance(bounds, list) or not bounds
-            or not all(isinstance(b, (int, float))
-                       and not isinstance(b, bool) for b in bounds)):
-        problems.append("le missing or not a number list")
-        bounds = None
-    elif [float(b) for b in bounds] != sorted({float(b) for b in bounds}):
-        problems.append("le bounds do not strictly increase")
-    counts = summary.get("counts")
-    if (not isinstance(counts, list)
-            or not all(isinstance(c, int) and not isinstance(c, bool)
-                       and c >= 0 for c in counts)):
-        problems.append("counts missing or not non-negative integers")
-        counts = None
-    elif bounds is not None and len(counts) != len(bounds) + 1:
-        problems.append("counts length is not len(le) + 1")
-    if counts is not None and summary.get("count") != sum(counts):
-        problems.append("count does not equal sum(counts)")
-    for key in ("sum", "p50", "p95", "p99"):
-        value = summary.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"{key} missing or not a number")
-    return problems
 
 
 def _prom_base(name: str) -> str:

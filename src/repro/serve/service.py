@@ -64,6 +64,7 @@ from typing import Optional
 from .. import __version__, obs, runner
 from ..obs import telemetry
 from ..obs.events import EventStream
+from ..obs.schemas import SERVE_SCHEMA
 from ..psna import certstore
 from ..psna.semantics import SEMANTICS_VERSION
 from ..util.segments import append_jsonl
@@ -590,7 +591,7 @@ class VerificationService:
             for job in self._by_id.values():
                 states[job.state] += 1
             payload = {
-                "service": "repro-serve/1",
+                "service": SERVE_SCHEMA,
                 "version": __version__,
                 "semantics": SEMANTICS_VERSION,
                 "jobs": self.jobs,

@@ -44,10 +44,10 @@ import threading
 from collections import OrderedDict
 from typing import IO, Optional
 
+from ..obs.schemas import VERDICT_SCHEMA
 from ..psna.semantics import SEMANTICS_VERSION
 from ..util.segments import COMPACT_SEGMENTS, SegmentFamily
 
-VERDICT_SCHEMA = "repro-verdict/1"
 SEGMENT_HEADER = "repro-verdict-store/1"
 
 #: Default capacity of the parsed-result LRU (entries, not bytes —

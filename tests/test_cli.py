@@ -182,14 +182,14 @@ class TestObservabilityFlags:
                                                       capsys):
         """Acceptance: the trace's final event carries the same behavior
         set the CLI prints."""
-        from repro.obs import read_trace
+        from repro.obs.schemas import load
 
         path = str(tmp_path / "out.jsonl")
         assert main(["explore", "--machine", "pf", "--trace", path,
                      *self.SB]) == 0
         printed = {line.strip() for line in capsys.readouterr().out.splitlines()
                    if line.startswith("  ")}
-        events = read_trace(path)
+        events = load(path)[1]
         assert events[0]["ev"] == "meta"
         final = events[-1]
         assert final["ev"] == "event" and final["name"] == "result"
@@ -237,11 +237,11 @@ class TestObservabilityFlags:
         assert "b := 1;" in captured.out
 
     def test_adequacy_trace_has_context_events(self, tmp_path, capsys):
-        from repro.obs import read_trace
+        from repro.obs.schemas import load
 
         path = str(tmp_path / "adequacy.jsonl")
         assert main(["adequacy", SLF_SRC, SLF_TGT, "--trace", path]) == 0
-        events = read_trace(path)
+        events = load(path)[1]
         contexts = [event for event in events
                     if event["ev"] == "event"
                     and event.get("name") == "adequacy.context"]

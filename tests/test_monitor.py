@@ -32,9 +32,9 @@ from repro.obs.monitor import (
     monitor_payload,
     parse_monitor_spec,
     render_monitor_table,
-    validate_monitor_payload,
     write_monitor_report,
 )
+from repro.obs.schemas import validate
 from repro.psna import PsConfig, explore
 
 SB = [parse("x_rlx := 1; a := y_rlx; return a;"),
@@ -235,15 +235,15 @@ class TestPayload:
         payload = write_monitor_report(str(path), checker,
                                        meta={"argv": "test"})
         assert payload["schema"] == MONITOR_SCHEMA
-        assert validate_monitor_payload(payload) == []
-        assert validate_monitor_payload(json.loads(path.read_text())) == []
+        assert validate(payload) == []
+        assert validate(json.loads(path.read_text())) == []
 
     def test_validation_catches_corruption(self):
         payload = monitor_payload(Monitor("strict", 1))
-        assert validate_monitor_payload(payload) == []
+        assert validate(payload) == []
         payload["invariants"]["psna.view.monotonic"]["violations"] = -1
-        assert validate_monitor_payload(payload)
-        assert validate_monitor_payload({"schema": "bogus/9"})
+        assert validate(payload)
+        assert validate({"schema": "bogus/9"})
 
     def test_payload_covers_every_registered_invariant(self):
         payload = monitor_payload(Monitor("strict", 1))
@@ -276,7 +276,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "!! psna.view.monotonic (injected):" in out
         payload = json.loads((tmp_path / "monitor.json").read_text())
-        assert validate_monitor_payload(payload) == []
+        assert validate(payload) == []
         entry = payload["invariants"]["psna.view.monotonic"]
         assert entry["violations"] == 1 and entry["injected"] == 1
         witness = os.path.join("corpus", "monitor",

@@ -14,11 +14,10 @@ from repro.obs.report import (
     render_profile,
     render_stats_table,
     stats_payload,
-    validate_bench_payload,
-    validate_stats_payload,
     write_bench_report,
 )
-from repro.obs.trace import MemorySink, read_trace
+from repro.obs.schemas import load, validate
+from repro.obs.trace import MemorySink
 from repro.opt import Optimizer
 from repro.psna import PsConfig, explore, promise_free_config
 from repro.seq import check_transformation
@@ -182,7 +181,7 @@ class TestTraceRoundTrip:
             with obs.span("phase", detail=1):
                 obs.event("hello", value=42)
             obs.event("result", behaviors=["a", "b"])
-        events = read_trace(path)
+        events = load(path)[1]
         assert events[0]["ev"] == "meta"
         assert events[0]["schema"] == obs.TRACE_SCHEMA
         assert events[0]["command"] == "test"
@@ -216,14 +215,14 @@ class TestReport:
         registry.inc("a", 2)
         payload = stats_payload(registry, meta={"command": "t"})
         assert payload["schema"] == STATS_SCHEMA
-        assert validate_stats_payload(payload) == []
+        assert validate(payload) == []
         assert "a" in render_stats_table(payload)
 
     def test_stats_validation_catches_problems(self):
-        assert validate_stats_payload({"schema": "bogus"}) != []
+        assert validate({"schema": "bogus"}) != []
         bad = {"schema": STATS_SCHEMA, "counters": {"x": "NaN"},
                "gauges": {}, "histograms": {}}
-        assert any("x" in problem for problem in validate_stats_payload(bad))
+        assert any("x" in problem for problem in validate(bad))
 
     def test_bench_report_round_trip(self, tmp_path):
         path = str(tmp_path / "BENCH_demo.json")
@@ -234,16 +233,16 @@ class TestReport:
         assert payload["schema"] == BENCH_SCHEMA
         with open(path) as handle:
             assert json.load(handle) == payload
-        assert validate_bench_payload(payload) == []
+        assert validate(payload) == []
 
     def test_bench_validation_rejects_bad_entries(self, tmp_path):
-        assert validate_bench_payload({"schema": BENCH_SCHEMA,
+        assert validate({"schema": BENCH_SCHEMA,
                                        "bench": "x", "entries": []}) != []
         bad = {"schema": BENCH_SCHEMA, "bench": "x",
                "entries": [{"name": "n", "rounds": 1, "min_s": -1,
                             "mean_s": 0.1, "max_s": 0.1}]}
         assert any("min_s" in problem
-                   for problem in validate_bench_payload(bad))
+                   for problem in validate(bad))
         with pytest.raises(ValueError):
             write_bench_report("x", [], str(tmp_path / "BENCH_x.json"))
 

@@ -5,6 +5,7 @@ import time
 
 from repro import obs, runner
 from repro.obs import attrib
+from repro.obs.schemas import validate
 
 
 def _spin(seconds):
@@ -106,13 +107,13 @@ class TestPayloadAndFolded:
     def test_payload_validates(self):
         payload = self._payload()
         assert payload["schema"] == attrib.ATTRIB_SCHEMA
-        assert attrib.validate_attrib_payload(payload) == []
+        assert validate(payload) == []
 
     def test_validation_catches_damage(self):
         payload = self._payload()
         payload["frames"][0].pop("self_s")
         payload["total_s"] = -1
-        problems = attrib.validate_attrib_payload(payload)
+        problems = validate(payload)
         assert any("self_s" in problem for problem in problems)
         assert any("total_s" in problem for problem in problems)
 

@@ -8,7 +8,7 @@ from repro import obs
 from repro.cli import main
 from repro.obs import coverage
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import validate_report_file
+from repro.obs.schemas import load, validate
 
 
 def _payload_after(**workload_kwargs):
@@ -80,19 +80,19 @@ class TestPayload:
 
     def test_validate_accepts_own_payload(self):
         payload = coverage.coverage_payload(self._snapshot())
-        assert coverage.validate_coverage_payload(payload) == []
+        assert validate(payload) == []
 
     def test_validate_rejects_bad_schema(self):
         payload = coverage.coverage_payload(self._snapshot())
         payload["schema"] = "nope/9"
         assert any("schema" in problem for problem in
-                   coverage.validate_coverage_payload(payload))
+                   validate(payload))
 
     def test_validate_rejects_inconsistent_uncovered(self):
         payload = coverage.coverage_payload(self._snapshot())
         payload["uncovered"] = []
         assert any("uncovered" in problem for problem in
-                   coverage.validate_coverage_payload(payload))
+                   validate(payload))
 
     def test_render_table_is_loud_about_gaps(self):
         payload = coverage.coverage_payload(
@@ -114,7 +114,7 @@ class TestPayload:
     def test_write_report_validates_through_dispatcher(self, tmp_path):
         path = str(tmp_path / "coverage.json")
         coverage.write_coverage_report(path, self._snapshot())
-        assert validate_report_file(path) == []
+        assert load(path)[2] == []
         payload = json.loads(open(path).read())
         assert payload["schema"] == coverage.COVERAGE_SCHEMA
 
@@ -182,7 +182,7 @@ class TestCoverageCli:
         assert "all rules fired" in out
         payload = json.loads(open(path).read())
         assert payload["uncovered"] == []
-        assert validate_report_file(path) == []
+        assert load(path)[2] == []
 
     def test_cli_strict_fails_on_gaps(self, capsys):
         assert main(["coverage", "--strict"]) == 1

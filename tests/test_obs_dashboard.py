@@ -3,6 +3,7 @@
 import json
 
 from repro.obs import dashboard, history
+from repro.obs.__main__ import main as obs_main
 from repro.obs.attrib import attrib_payload
 from repro.obs.report import bench_payload
 
@@ -196,11 +197,11 @@ class TestDashboardCli:
                                                 stamp="2026-08-06T00:00:00Z"))
         from repro.obs.monitor import Monitor, write_monitor_report
 
-        write_monitor_report(str(tmp_path / dashboard.DEFAULT_MONITOR),
+        write_monitor_report(str(tmp_path / dashboard.INPUTS["monitor"][0]),
                              Monitor("strict", 1))
         out = tmp_path / "dashboard.html"
-        assert dashboard.main(["--out", str(out),
-                               "--root", str(tmp_path)]) == 0
+        assert obs_main(["dashboard", "--out", str(out),
+                         "--root", str(tmp_path)]) == 0
         page = out.read_text()
         assert "repro dashboard" in page
         assert "fast" in page
@@ -209,5 +210,5 @@ class TestDashboardCli:
         assert "1 ledger record(s)" in capsys.readouterr().out
 
     def test_missing_out_is_usage_error(self, capsys):
-        assert dashboard.main([]) == 2
+        assert obs_main(["dashboard"]) == 2
         assert "usage" in capsys.readouterr().out

@@ -4,13 +4,8 @@ import pytest
 
 import repro.cli as cli
 from repro import obs
-from repro.obs.events import (
-    EVENTS_SCHEMA,
-    EventStream,
-    read_events,
-    render_flight,
-    validate_events,
-)
+from repro.obs.events import EVENTS_SCHEMA, EventStream, render_flight
+from repro.obs.schemas import load, validate
 
 SB = ["x_rlx := 1; a := y_rlx; return a;",
       "y_rlx := 1; b := x_rlx; return b;"]
@@ -24,8 +19,8 @@ class TestEventStream:
         stream.emit("truncation", span="demo", reason="state-bound",
                     rule="rule.demo.step")
         stream.close()
-        events = read_events(path)
-        assert validate_events(events) == []
+        events = load(path)[1]
+        assert validate(events) == []
         head = events[0]
         assert head["ev"] == "meta" and head["schema"] == EVENTS_SCHEMA
         assert head["command"] == "test"
@@ -51,8 +46,8 @@ class TestEventStream:
         for event in worker.drain()["events"]:
             parent.replay(event, case=7)
         parent.close()
-        events = read_events(str(tmp_path / "merged.ndjson"))
-        assert validate_events(events) == []
+        events = load(str(tmp_path / "merged.ndjson"))[1]
+        assert validate(events) == []
         replayed = [event for event in events if event.get("case") == 7]
         assert [event["ev"] for event in replayed] == ["meta", "state"]
         assert replayed[-1]["states"] == 3
@@ -64,14 +59,14 @@ class TestEventStream:
             stream.emit("state")
 
     def test_validate_rejects_headless_streams(self):
-        assert validate_events([]) == ["empty stream (no meta line)"]
-        assert validate_events([{"ev": "state", "seq": 0, "t": 0.0}])
+        assert validate([]) == ["empty stream (no meta line)"]
+        assert validate([{"ev": "state", "seq": 0, "t": 0.0}])
         out_of_order = [
             {"ev": "meta", "schema": EVENTS_SCHEMA, "seq": 1, "t": 0.0},
             {"ev": "state", "seq": 0, "t": 0.0},
         ]
         assert any("monotonic" in problem
-                   for problem in validate_events(out_of_order))
+                   for problem in validate(out_of_order))
 
 
 class TestSessionStream:
@@ -81,7 +76,7 @@ class TestSessionStream:
             with obs.span("demo.phase"):
                 with obs.span("psna.cert"):
                     pass
-        events = read_events(path)
+        events = load(path)[1]
         names = {(event["ev"], event.get("name")) for event in events}
         assert ("span-enter", "demo.phase") in names
         assert ("span-exit", "demo.phase") in names
@@ -92,7 +87,7 @@ class TestSessionStream:
         with obs.session(stream=path):
             obs.inc("rule.demo.step", 3)
             obs.inc("other.counter", 1)
-        events = read_events(path)
+        events = load(path)[1]
         coverage = [event for event in events if event["ev"] == "coverage"]
         assert coverage and coverage[-1]["rules"] == {"rule.demo.step": 3}
 
@@ -106,8 +101,8 @@ class TestCliStream:
         assert cli.main(["explore", "--machine", "pf", "--max-states", "5",
                          "--stream", path, *SB]) == 0
         capsys.readouterr()
-        events = read_events(path)
-        assert validate_events(events) == []
+        events = load(path)[1]
+        assert validate(events) == []
         truncations = [event for event in events
                        if event["ev"] == "truncation"]
         assert truncations
@@ -121,8 +116,8 @@ class TestCliStream:
         path = str(tmp_path / "events.ndjson")
         assert cli.main(["litmus", "--jobs", "2", "--stream", path]) == 0
         capsys.readouterr()
-        events = read_events(path)
-        assert validate_events(events) == []
+        events = load(path)[1]
+        assert validate(events) == []
         cases = {event["case"] for event in events if "case" in event}
         assert cases == set(range(54))
 

@@ -3,7 +3,7 @@
 import json
 
 from repro.cli import main
-from repro.obs.report import validate_report_file
+from repro.obs.schemas import load, validate
 from repro.obs.statespace import (
     GRAPH_SCHEMA,
     MAX_CURVE_POINTS,
@@ -13,7 +13,6 @@ from repro.obs.statespace import (
     graph_payload,
     merge_stats,
     render_graph_table,
-    validate_graph_payload,
     write_graph_report,
 )
 
@@ -87,7 +86,7 @@ class TestGraphBuilder:
         builder = GraphBuilder("g")
         builder.node("A", 0)
         payload = {"schema": GRAPH_SCHEMA, "graphs": {"g": builder.stats()}}
-        assert validate_graph_payload(payload) == []
+        assert validate(payload) == []
 
 
 class TestMergeStats:
@@ -176,7 +175,7 @@ class TestGraphReport:
         builder.mark(1, "terminal")
         path = str(tmp_path / "graph.json")
         written = write_graph_report(path, recorder, meta={"command": "t"})
-        assert validate_report_file(path) == []
+        assert load(path)[2] == []
         with open(path) as handle:
             loaded = json.load(handle)
         assert loaded == json.loads(json.dumps(written))
@@ -184,10 +183,10 @@ class TestGraphReport:
             == "terminal"
 
     def test_invalid_payload_is_rejected(self):
-        assert validate_graph_payload({"schema": "nope/1"})
+        assert validate({"schema": "nope/1"})
         broken = {"schema": GRAPH_SCHEMA, "graphs": {"g": {"states": -1}}}
         assert any("states" in problem
-                   for problem in validate_graph_payload(broken))
+                   for problem in validate(broken))
 
     def test_render_table_flags_truncated_runs(self):
         payload = {"schema": GRAPH_SCHEMA, "graphs": {
@@ -208,7 +207,7 @@ class TestExploreIntegration:
         captured = capsys.readouterr()
         printed = int(captured.out.split("states explored: ")[1]
                       .split(",")[0])
-        assert validate_report_file(path) == []
+        assert load(path)[2] == []
         with open(path) as handle:
             payload = json.load(handle)
         stats = payload["graphs"]["psna.explore"]

@@ -5,25 +5,26 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs.trace import JsonlSink, MemorySink, read_trace
+from repro.obs.schemas import load
+from repro.obs.trace import JsonlSink, MemorySink
 
 
 class TestEmptyTraces:
     def test_empty_file_round_trips(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert read_trace(str(path)) == []
+        assert load(str(path))[1] == []
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blanks.jsonl"
         path.write_text("\n\n{\"ev\": \"event\", \"name\": \"x\"}\n\n")
-        assert read_trace(str(path)) == [{"ev": "event", "name": "x"}]
+        assert load(str(path))[1] == [{"ev": "event", "name": "x"}]
 
     def test_sink_with_no_events_leaves_readable_file(self, tmp_path):
         path = str(tmp_path / "none.jsonl")
         sink = JsonlSink(path)
         sink.close()
-        assert read_trace(path) == []
+        assert load(path)[1] == []
 
 
 class TestDeepNesting:
@@ -52,7 +53,7 @@ class TestDeepNesting:
                 with obs.span("b"):
                     with obs.span("c"):
                         obs.event("bottom")
-        events = read_trace(path)
+        events = load(path)[1]
         depths = {event["name"]: event["depth"] for event in events
                   if event["ev"] == "span"}
         assert depths == {"a": 0, "b": 1, "c": 2}
@@ -74,7 +75,7 @@ class TestClosedSinks:
         sink.close()
         with pytest.raises(RuntimeError):
             sink.emit({"ev": "event", "name": "after"})
-        events = read_trace(path)
+        events = load(path)[1]
         assert events == [{"ev": "event", "name": "before"}]
         # every line still parses individually (no partial writes)
         for line in open(path):
@@ -103,5 +104,5 @@ class TestClosedSinks:
             obs.event("inside")
         with pytest.raises(RuntimeError):
             session.sink.emit({"ev": "event", "name": "too-late"})
-        names = [event.get("name") for event in read_trace(path)]
+        names = [event.get("name") for event in load(path)[1]]
         assert "inside" in names and "too-late" not in names

@@ -6,12 +6,12 @@ import time
 from repro.cli import main as cli_main
 from repro.obs.query import (
     filter_events,
-    load_artifact,
     main,
     render_path,
     top_values,
     witness_path,
 )
+from repro.obs.schemas import load
 from repro.obs.statespace import GRAPH_SCHEMA
 
 EVENTS = [
@@ -68,22 +68,18 @@ def _write_graph(tmp_path, payload=GRAPH):
 
 class TestLoadArtifact:
     def test_detects_graph_reports(self, tmp_path):
-        kind, data = load_artifact(_write_graph(tmp_path))
-        assert kind == "graph" and "g" in data["graphs"]
+        kind, data, _problems = load(_write_graph(tmp_path))
+        assert kind == GRAPH_SCHEMA and "g" in data["graphs"]
 
     def test_detects_event_streams(self, tmp_path):
-        kind, data = load_artifact(_write_events(tmp_path))
-        assert kind == "events" and len(data) == len(EVENTS)
+        kind, data, _problems = load(_write_events(tmp_path))
+        assert kind == "repro-events/1" and len(data) == len(EVENTS)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not json at all\n")
-        try:
-            load_artifact(str(path))
-        except ValueError as error:
-            assert "not JSON" in str(error)
-        else:
-            raise AssertionError("expected ValueError")
+        _kind, data, problems = load(str(path))
+        assert any("not JSON" in problem for problem in problems)
 
 
 class TestFilters:

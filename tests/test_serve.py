@@ -21,7 +21,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.litmus import ALL_TRANSFORMATION_CASES
-from repro.obs.events import validate_events
+from repro.obs.schemas import validate
 from repro.serve import client
 from repro.serve.http import make_server
 from repro.serve.jobs import (
@@ -129,7 +129,7 @@ class TestServiceEngine:
         lines, _cursor, ended = svc.read_events(job.id, timeout=30.0)
         assert ended
         events = [json.loads(line) for line in lines]
-        assert validate_events(events) == []
+        assert validate(events) == []
         kinds = [event.get("name") or event["ev"] for event in events]
         assert kinds[0] == "meta"
         assert "result" in kinds
@@ -288,7 +288,7 @@ class TestHTTPFrontEnd:
                                     out=sink) > 0
         events = [json.loads(line)
                   for line in sink.getvalue().splitlines()]
-        assert validate_events(events) == []
+        assert validate(events) == []
         assert events[-1]["ev"] == "stream-end"
 
     def test_litmus_catalog_is_byte_identical_to_the_cli(self, live,

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.obs import telemetry
+from repro.obs.schemas import validate
 from repro.serve.metrics import (
     LATENCY_BUCKETS_S,
     SERVEMETRICS_SCHEMA,
@@ -27,7 +28,6 @@ from repro.serve.metrics import (
     render_exposition,
     render_top,
     sample_value,
-    validate_servemetrics,
 )
 
 #: Dyadic rationals: exactly representable, so float sums are
@@ -132,7 +132,7 @@ class TestServiceMetrics:
     def test_snapshot_validates_and_dumps_stably(self):
         snap = self._populated().snapshot()
         assert snap["schema"] == SERVEMETRICS_SCHEMA
-        assert validate_servemetrics(snap) == []
+        assert validate(snap) == []
         assert dump_servemetrics(snap) == dump_servemetrics(snap)
         assert snap["counters"]["requests.total"] == 3
         assert snap["samples"]["queue.depth"] == [2, 1]
@@ -173,11 +173,11 @@ class TestServiceMetrics:
         snap = self._populated().snapshot()
         broken = json.loads(json.dumps(snap))
         broken["histograms"]["request.latency_s"]["counts"] = [1, 2]
-        assert validate_servemetrics(broken)
+        assert validate(broken)
         broken = json.loads(json.dumps(snap))
         broken["histograms"]["request.latency_s"]["count"] += 1
-        assert validate_servemetrics(broken)
-        assert validate_servemetrics({"schema": "nope"})
+        assert validate(broken)
+        assert validate({"schema": "nope"})
 
 
 class TestExposition:
