@@ -37,8 +37,8 @@ from ..psna.machine import (
 )
 from ..psna.memory import NAMessage
 from ..psna.thread import PsConfig
-from ..seq.machine import SeqConfig, seq_steps, universe_for
-from ..seq.refinement import Counterexample, Limits, _Game, _Item
+from ..seq.machine import SeqConfig, SeqSpace, seq_steps, universe_for
+from ..seq.refinement import Counterexample, Limits, _Game
 from .schemas import TRACE_SCHEMA, load
 
 # ---------------------------------------------------------------------------
@@ -261,13 +261,14 @@ def explain_witness(programs: Sequence[Stmt],
 # ---------------------------------------------------------------------------
 
 
-def _frontier_lines(frontier: frozenset[_Item], limit: int = 4) -> list[str]:
+def _frontier_lines(frontier, configs: list[SeqConfig],
+                    limit: int = 4) -> list[str]:
     lines = [f"source frontier: {len(frontier)} config(s)"]
-    shown = sorted(frontier, key=repr)[:limit]
-    for item in shown:
-        commitments = (f" R={set(item.commitments)}"
-                       if item.commitments else "")
-        lines.append(f"  {item.cfg!r}{commitments}")
+    shown = sorted(((configs[cid], commitments)
+                    for cid, commitments in frontier), key=repr)[:limit]
+    for cfg, commitments in shown:
+        extra = f" R={set(commitments)}" if commitments else ""
+        lines.append(f"  {cfg!r}{extra}")
     if len(frontier) > limit:
         lines.append(f"  ... and {len(frontier) - limit} more")
     return lines
@@ -286,7 +287,9 @@ def explain_counterexample(source: Stmt, target: Stmt,
     """
     universe = universe_for(source, target)
     advanced = cex.defaults is not None
-    game = _Game(universe, advanced=advanced, defaults=cex.defaults,
+    space = SeqSpace(universe)
+    configs = space.configs
+    game = _Game(space, advanced=advanced, defaults=cex.defaults,
                  limits=limits)
     timeline = Timeline(title)
     timeline.header = (
@@ -298,11 +301,11 @@ def explain_counterexample(source: Stmt, target: Stmt,
 
     src0 = SeqConfig.initial(source, cex.initial.perms, cex.initial.memory,
                              cex.initial.written)
-    frontier = game._close([_Item(src0, frozenset())])
+    frontier = game._close([(space.intern(src0), frozenset())])
     targets = _unlabeled_closure_cfgs({cex.initial}, universe)
     timeline.add("game start",
                  [f"target: {cex.initial!r}"]
-                 + _frontier_lines(frontier), kind=INFO)
+                 + _frontier_lines(frontier, configs), kind=INFO)
 
     for label in cex.trace:
         next_targets: set[SeqConfig] = set()
@@ -312,20 +315,19 @@ def explain_counterexample(source: Stmt, target: Stmt,
             for step_label, successor in seq_steps(cfg, universe):
                 if step_label == label:
                     next_targets.add(successor)
-        matched: set[_Item] = set()
-        for item in frontier:
-            if item.cfg.is_bottom() or item.cfg.is_terminated():
+        matched: set[tuple[int, frozenset[str]]] = set()
+        for cid, commitments in frontier:
+            if space.halted[cid]:
                 continue
-            for src_label, src_next in seq_steps(item.cfg, universe):
+            for src_label, src_next in space.steps(cid):
                 if src_label is None:
                     continue
-                updated = game._match_label(label, src_label,
-                                            item.commitments)
+                updated = game._match_label(label, src_label, commitments)
                 if updated is not None:
-                    matched.add(_Item(src_next, updated))
+                    matched.add((src_next, updated))
         frontier = game._close(matched) if matched else frozenset()
         detail = [f"target emits {label!r}"]
-        detail += _frontier_lines(frontier)
+        detail += _frontier_lines(frontier, configs)
         if not frontier:
             detail.append("no source step matches — refinement fails here")
         timeline.add(f"label {label!r}: {len(matched)} source match(es)",

@@ -365,13 +365,13 @@ def check_frontier_consistent(frontier, advanced: bool) -> Optional[str]:
     """
     if not frontier:
         return "visited game state carries an empty source frontier"
-    for item in frontier:
-        if not isinstance(item.commitments, frozenset):
+    for _cfg, commitments in frontier:
+        if not isinstance(commitments, frozenset):
             return (f"commitment set is "
-                    f"{type(item.commitments).__name__}, not frozenset")
-        if not advanced and item.commitments:
+                    f"{type(commitments).__name__}, not frozenset")
+        if not advanced and commitments:
             return (f"simple-mode frontier item carries commitments "
-                    f"{sorted(item.commitments)}")
+                    f"{sorted(commitments)}")
     return None
 
 
@@ -785,16 +785,12 @@ def _corrupt_store_divergence():
 
 
 def _corrupt_frontier():
-    from ..seq.refinement import _Item
-
-    frontier = frozenset({_Item(None, frozenset({"x"}))})
+    frontier = frozenset({(0, frozenset({"x"}))})
     return check_frontier_consistent(frontier, advanced=False), frontier
 
 
 def _corrupt_simulation_step():
-    from ..seq.refinement import _Item
-
-    base = {_Item(None, frozenset())}
+    base = {(0, frozenset())}
     return check_simulation_step(base, frozenset()), base
 
 

@@ -17,6 +17,7 @@ from .labels import (
 )
 from .machine import (
     SeqConfig,
+    SeqSpace,
     SeqUniverse,
     SeqUnsupportedError,
     seq_steps,
@@ -60,7 +61,8 @@ __all__ = [
     "AcqFenceLabel", "AcqReadLabel", "ChooseLabel", "RelFenceLabel",
     "RelWriteLabel", "RlxReadLabel", "RlxWriteLabel", "SeqLabel",
     "SyscallLabel", "is_acquire", "label_leq", "strip", "trace_leq",
-    "SeqConfig", "SeqUniverse", "SeqUnsupportedError", "seq_steps",
+    "SeqConfig", "SeqSpace", "SeqUniverse", "SeqUnsupportedError",
+    "seq_steps",
     "universe_for",
     "Behavior", "Bot", "Prt", "Trm", "behavior_leq", "enumerate_behaviors",
     "iter_initial_configs", "result_of",

@@ -31,9 +31,9 @@ from ..lang.ast import Stmt
 from ..lang.values import value_leq
 from .behavior import iter_initial_configs
 from .labels import label_leq
-from .machine import SeqConfig, SeqUniverse, seq_steps, unlabeled_closure, \
-    universe_for
-from .refinement import Limits, _Game, _Item
+from .machine import SeqConfig, SeqSpace, SeqUniverse, seq_steps, \
+    unlabeled_closure, universe_for
+from .refinement import Limits, _Game
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,17 @@ def produce_certificate(source: Stmt, target: Stmt,
     if refinement fails (no certificate exists then)."""
     if universe is None:
         universe = universe_for(source, target)
-    game = _Game(universe, advanced=False, defaults=None, limits=limits)
+    space = SeqSpace(universe)
+    game = _Game(space, advanced=False, defaults=None, limits=limits)
     record: set = set()
     for tgt0 in iter_initial_configs(target, universe):
         src0 = SeqConfig.initial(source, tgt0.perms, tgt0.memory,
                                  tgt0.written)
         if game.run(tgt0, src0, record=record) is not None:
             return None
+    configs = space.configs
     pairs = frozenset(
-        (tgt, frozenset(item.cfg for item in frontier))
+        (configs[tgt], frozenset(configs[cid] for cid, _r in frontier))
         for tgt, frontier in record)
     return Certificate(universe, pairs)
 

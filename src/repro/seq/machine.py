@@ -22,8 +22,8 @@ and refinement checking decidable for litmus-scale programs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional
 
 from .. import obs
 from ..lang.ast import Stmt, constant_values, nonatomic_locations
@@ -233,20 +233,22 @@ def _seq_steps(cfg: SeqConfig,
 
     if isinstance(action, (RetAction, ErrAction)):
         return  # terminal
+    resume = cfg.thread.resume
+    perms, written, memory = cfg.perms, cfg.written, cfg.memory
 
     if isinstance(action, FailAction):
         # Program-level UB: silently reach ⊥ (the behavior then reads ⊥).
-        yield None, replace(cfg, thread=cfg.thread.resume(None))
+        yield None, SeqConfig(resume(None), perms, written, memory)
         return
 
     if isinstance(action, TauAction):
-        yield None, replace(cfg, thread=cfg.thread.resume(None))
+        yield None, SeqConfig(resume(None), perms, written, memory)
         return
 
     if isinstance(action, ChooseAction):
         for value in universe.values:
             yield (ChooseLabel(value),
-                   replace(cfg, thread=cfg.thread.resume(value)))
+                   SeqConfig(resume(value), perms, written, memory))
         return
 
     if isinstance(action, ReadAction):
@@ -259,12 +261,12 @@ def _seq_steps(cfg: SeqConfig,
                 value = cfg.memory[action.loc]  # (na-read)
             else:
                 value = UNDEF  # (racy-na-read)
-            yield None, replace(cfg, thread=cfg.thread.resume(value))
+            yield None, SeqConfig(resume(value), perms, written, memory)
             return
         if action.mode is RLX:
             for value in universe.env_values():
                 yield (RlxReadLabel(action.loc, value),
-                       replace(cfg, thread=cfg.thread.resume(value)))
+                       SeqConfig(resume(value), perms, written, memory))
             return
         assert action.mode is ACQ
         for value in universe.env_values():
@@ -291,11 +293,11 @@ def _seq_steps(cfg: SeqConfig,
                     cfg.memory.set(action.loc, action.value),
                 )
             else:  # (racy-na-write): UB
-                yield None, replace(cfg, thread=_BOTTOM_THREAD)
+                yield None, SeqConfig(_BOTTOM_THREAD, perms, written, memory)
             return
         if action.mode is RLX:
             yield (RlxWriteLabel(action.loc, action.value),
-                   replace(cfg, thread=cfg.thread.resume(None)))
+                   SeqConfig(resume(None), perms, written, memory))
             return
         assert action.mode is REL
         released = cfg.memory.restrict(cfg.perms)  # V = M|P
@@ -330,7 +332,7 @@ def _seq_steps(cfg: SeqConfig,
 
     if isinstance(action, SyscallAction):
         yield (SyscallLabel(action.name, action.value),
-               replace(cfg, thread=cfg.thread.resume(None)))
+               SeqConfig(resume(None), perms, written, memory))
         return
 
     if isinstance(action, RmwAction):
@@ -339,6 +341,76 @@ def _seq_steps(cfg: SeqConfig,
             "(supported by PS^na)")
 
     raise TypeError(f"unknown action {action!r}")
+
+
+class SeqSpace:
+    """The configurations one refinement check visits, as dense int ids.
+
+    A configuration gets its id the first time it is interned, so it is
+    hashed once; from then on games key their sets and caches on ints.
+    Successors are expanded once per id, as ``((label, succ_id), …)``
+    in :func:`seq_steps` order, and shared by every game of the check.
+    A space covers one universe and lives for one check: the caller
+    that creates it drops it with the verdict.
+    """
+
+    __slots__ = ("universe", "configs", "halted", "bottom", "_ids",
+                 "_succ", "_rules")
+
+    def __init__(self, universe: SeqUniverse) -> None:
+        self.universe = universe
+        self.configs: list[SeqConfig] = []  # id -> configuration
+        #: id -> bottom or terminated (no steps); id -> bottom
+        self.halted: list[bool] = []
+        self.bottom: list[bool] = []
+        self._ids: dict[SeqConfig, int] = {}
+        self._succ: list[Optional[tuple]] = []
+        self._rules: dict[int, tuple[str, ...]] = {}
+
+    def intern(self, cfg: SeqConfig) -> int:
+        """The id of ``cfg``, assigning the next one on first sight."""
+        cid = self._ids.get(cfg)
+        if cid is None:
+            cid = self._ids[cfg] = len(self.configs)
+            self.configs.append(cfg)
+            self._succ.append(None)
+            action = cfg.thread.peek()
+            bottom = isinstance(action, ErrAction)
+            self.bottom.append(bottom)
+            self.halted.append(bottom or isinstance(action, RetAction))
+        return cid
+
+    def steps(self, cid: int) -> Iterable[tuple[Optional[SeqLabel], int]]:
+        """The transitions of configuration ``cid``, with successor ids.
+
+        Like :func:`seq_steps`, an active observability session sees
+        each transition's ``rule.seq.machine.*`` counter fire as it is
+        enumerated, on every call, so counts match a run that steps
+        every configuration afresh.
+        """
+        succ = self._succ[cid]
+        if succ is None:
+            intern = self.intern
+            succ = self._succ[cid] = tuple(
+                (label, intern(successor)) for label, successor
+                in _seq_steps(self.configs[cid], self.universe))
+        registry = obs.metrics()
+        if registry is None:
+            return succ
+        return self._counted(cid, succ, registry)
+
+    def _counted(self, cid: int, succ: tuple,
+                 registry) -> Iterator[tuple[Optional[SeqLabel], int]]:
+        rules = self._rules.get(cid)
+        if rules is None:
+            cfg = self.configs[cid]
+            action = cfg.thread.peek()
+            rules = self._rules[cid] = tuple(
+                _SEQ_RULE_COUNTERS[classify_seq_step(cfg, action, label)]
+                for label, _succ in succ)
+        for step, rule in zip(succ, rules):
+            registry.inc(rule)
+            yield step
 
 
 def _acquire_steps(cfg: SeqConfig, universe: SeqUniverse, make_label,

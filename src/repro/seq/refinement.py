@@ -29,14 +29,12 @@ and family-relative for advanced mode.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .. import obs
 from ..lang.ast import Stmt
 from ..lang.values import value_leq
-from ..util.fmap import FrozenMap
 from .behavior import iter_initial_configs
 from .labels import (
     AcqFenceLabel,
@@ -57,12 +55,13 @@ from .labels import (
 from ..obs.events import STATE_EVENT_INTERVAL
 from .machine import (
     SeqConfig,
+    SeqSpace,
     SeqUniverse,
     classify_seq_step,
-    seq_steps,
     universe_for,
 )
-from .oracle import OracleDefaults, _stripped_leq, default_oracle_family
+from .oracle import (OracleDefaults, TraceOracle, _stripped_leq,
+                     default_oracle_family)
 
 
 @dataclass(frozen=True)
@@ -131,12 +130,11 @@ GAME_RULE_TAGS: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class _Item:
-    """A frontier element: a source configuration plus its commitments."""
+#: A frontier element: a source configuration id (in the check's
+#: :class:`SeqSpace`) plus its commitment set.
+_Item = tuple[int, frozenset[str]]
 
-    cfg: SeqConfig
-    commitments: frozenset[str]
+_NO_SCRIPT: frozenset = frozenset()
 
 
 @dataclass
@@ -149,25 +147,30 @@ class _Escape:
 
 
 class _Game:
-    """One refinement game for a fixed initial configuration pair."""
+    """One refinement game for a fixed initial configuration pair.
 
-    def __init__(self, universe: SeqUniverse, advanced: bool,
+    Configurations live in the check's :class:`SeqSpace` and the game
+    works on their ids; they are decoded only for counterexamples, the
+    obligations that read ``F``/``M``/return values, and graph keys.
+    """
+
+    def __init__(self, space: SeqSpace, advanced: bool,
                  defaults: Optional[OracleDefaults], limits: Limits,
                  caching: bool = True) -> None:
-        self.universe = universe
+        self.space = space
         self.advanced = advanced
         self.defaults = defaults or OracleDefaults()
         self.limits = limits
         self.caching = caching
         self.complete = True
-        self._escape_cache: dict[tuple[SeqConfig, frozenset[StrippedLabel]],
+        # Off-script transitions of the suffix oracle follow the defaults.
+        self._offscript = TraceOracle((), self.defaults)
+        self._escape_cache: dict[tuple[int, frozenset[StrippedLabel]],
                                  _Escape] = {}
-        # Closure memoization + frontier interning: games revisit the
-        # same pre-closure frontier through different target paths, and
-        # interned (identical) frontiers make the `seen` keys compare by
-        # identity first.  Both are per-game (fixed universe/limits).
+        # Closure memoization: games revisit the same pre-closure
+        # frontier through different target paths.  Per-game (fixed
+        # universe/limits).
         self._closure_cache: dict[frozenset[_Item], frozenset[_Item]] = {}
-        self._frontier_intern: dict[frozenset[_Item], frozenset[_Item]] = {}
         self.game_states = 0
         # Search counters, kept as plain locals-on-self (cheap increments)
         # and flushed into the obs registry by the check_* entry points.
@@ -187,11 +190,8 @@ class _Game:
     # -- source closures -------------------------------------------------
 
     def _close(self, items: Iterable[_Item]) -> frozenset[_Item]:
-        """Unlabeled closure of frontier items (silent + non-atomic steps).
-
-        Memoized per pre-closure frontier, and the resulting frontier is
-        interned so value-equal frontiers are one object game-wide.
-        """
+        """Unlabeled closure of frontier items (silent + non-atomic steps),
+        memoized per pre-closure frontier."""
         base = frozenset(items)
         if self.caching:
             cached = self._closure_cache.get(base)
@@ -199,10 +199,13 @@ class _Game:
                 self.closure_cache_hits += 1
                 return cached
         self.closures += 1
+        space = self.space
+        halted = space.halted
+        limit = self.limits.max_closure_states
         seen: set[_Item] = set(base)
         stack = list(seen)
         while stack:
-            if len(seen) > self.limits.max_closure_states:
+            if len(seen) > limit:
                 self.complete = False
                 self.incomplete_reasons.add("closure-states")
                 stream = obs.stream()
@@ -211,19 +214,17 @@ class _Game:
                                 reason="closure-states", states=len(seen),
                                 last_rule=stream.last_rule)
                 break
-            item = stack.pop()
-            cfg = item.cfg
-            if cfg.is_bottom() or cfg.is_terminated():
+            cid, commitments = stack.pop()
+            if halted[cid]:
                 continue
-            for label, successor in seq_steps(cfg, self.universe):
+            for label, successor in space.steps(cid):
                 if label is None:
-                    candidate = _Item(successor, item.commitments)
+                    candidate = (successor, commitments)
                     if candidate not in seen:
                         seen.add(candidate)
                         stack.append(candidate)
         result = frozenset(seen)
         if self.caching:
-            result = self._frontier_intern.setdefault(result, result)
             self._closure_cache[base] = result
         return result
 
@@ -239,12 +240,9 @@ class _Game:
         """
         if is_acquire(label):
             return False
-        from .oracle import TraceOracle  # local: avoid import cycle
-
         self.oracle_queries += 1
-        oracle = TraceOracle((), self.defaults)
         stripped = strip(label)
-        if oracle.allows_offscript(stripped):
+        if self._offscript.allows_offscript(stripped):
             return True
         return any(_stripped_leq(entry, stripped) for entry in script)
 
@@ -257,18 +255,19 @@ class _Game:
         reachable (beh-partial).  In simple mode suffixes are unlabeled
         only, so this reduces to inspecting the already-closed frontier.
         """
-        key = (item.cfg, script if self.advanced else frozenset())
+        key = (item[0], script if self.advanced else _NO_SCRIPT)
         cached = self._escape_cache.get(key)
         if cached is not None:
             self.escape_cache_hits += 1
             return cached
         self.escape_searches += 1
+        space = self.space
+        configs, halted = space.configs, space.halted
         bottom = False
         coverages: set[frozenset[str]] = set()
         complete = True
-        seen: set[tuple[SeqConfig, frozenset[str]]] = set()
-        stack: list[tuple[SeqConfig, frozenset[str]]] = [
-            (item.cfg, frozenset())]
+        seen: set[tuple[int, frozenset[str]]] = set()
+        stack: list[tuple[int, frozenset[str]]] = [(item[0], frozenset())]
         while stack:
             if len(seen) > self.limits.max_escape_states:
                 complete = False
@@ -284,17 +283,17 @@ class _Game:
                                 reason="escape-states", states=len(seen),
                                 last_rule=stream.last_rule)
                 break
-            cfg, rel_written = stack.pop()
-            if (cfg, rel_written) in seen:
+            state = stack.pop()
+            if state in seen:
                 continue
-            seen.add((cfg, rel_written))
-            coverages.add(cfg.written | rel_written)
-            if cfg.is_bottom():
-                bottom = True
+            seen.add(state)
+            cid, rel_written = state
+            coverages.add(configs[cid].written | rel_written)
+            if halted[cid]:
+                if space.bottom[cid]:
+                    bottom = True
                 continue
-            if cfg.is_terminated():
-                continue
-            for label, successor in seq_steps(cfg, self.universe):
+            for label, successor in space.steps(cid):
                 if label is None:
                     stack.append((successor, rel_written))
                     continue
@@ -382,9 +381,9 @@ class _Game:
         """Play the game; return a counterexample or None (refines).
 
         When ``record`` is given, every visited game state (a target
-        configuration with its matched source frontier) is added to it —
-        the raw material of a refinement certificate
-        (:mod:`repro.seq.certificate`).
+        configuration id with its matched source frontier) is added to
+        it — the raw material of a refinement certificate
+        (:mod:`repro.seq.certificate`), decoded through ``space``.
 
         With a state-graph recorder active (``--graph``/``--graph-stats``)
         each run additionally records its game graph: nodes are the
@@ -413,19 +412,31 @@ class _Game:
         registry.inc("graph.seq.game.dedup_hits", builder.dedup_hits)
         registry.inc("graph.seq.game.dedup_misses", builder.dedup_misses)
 
+    def _graph_key(self, tgt: int, frontier: frozenset[_Item]) -> tuple:
+        """A game state decoded to configurations: graph builders may
+        be shared by games of different checks, whose ids differ."""
+        configs = self.space.configs
+        return (configs[tgt],
+                frozenset((configs[cid], commitments)
+                          for cid, commitments in frontier))
+
     def _run(self, tgt0: SeqConfig, src0: SeqConfig,
              record: Optional[set], builder,
              stream, probe=None) -> Optional[Counterexample]:
-        frontier0 = self._close([_Item(src0, frozenset())])
-        stack: list[tuple[SeqConfig, frozenset[_Item],
-                          tuple[SeqLabel, ...]]] = [(tgt0, frontier0, ())]
-        seen: set[tuple[SeqConfig, frozenset[_Item]]] = set()
+        space = self.space
+        configs, halted, steps = space.configs, space.halted, space.steps
+        match_label = self._match_label
+        tgt0_id = space.intern(tgt0)
+        frontier0 = self._close([(space.intern(src0), frozenset())])
+        stack: list[tuple[int, frozenset[_Item],
+                          tuple[SeqLabel, ...]]] = [(tgt0_id, frontier0, ())]
+        seen: set[tuple[int, frozenset[_Item]]] = set()
         if record is not None:
-            record.add((tgt0, frontier0))
+            record.add((tgt0_id, frontier0))
         initial = tgt0
         recording = builder is not None or stream is not None
         if builder is not None:
-            builder.node((tgt0, frontier0), 0)
+            builder.node(self._graph_key(tgt0_id, frontier0), 0)
 
         registry = obs.metrics()
         while stack:
@@ -455,7 +466,8 @@ class _Game:
                 self.peak_frontier = len(frontier)
             cur_id = -1
             if builder is not None:
-                cur_id = builder.node_id(key, len(trace))
+                cur_id = builder.node_id(self._graph_key(tgt, frontier),
+                                         len(trace))
                 builder.frontier(len(frontier))
             if stream is not None \
                     and self.game_states % STATE_EVENT_INTERVAL == 0:
@@ -466,7 +478,7 @@ class _Game:
                 registry.observe("seq.game.frontier", len(frontier))
                 registry.observe(
                     "seq.game.commitments",
-                    max((len(item.commitments) for item in frontier),
+                    max((len(commitments) for _cid, commitments in frontier),
                         default=0))
 
             script = frozenset(strip(label) for label in trace)
@@ -479,7 +491,8 @@ class _Game:
                     builder.mark(cur_id, "pruned")
                 continue
 
-            if tgt.is_bottom():
+            tgt_cfg = configs[tgt]
+            if space.bottom[tgt]:
                 if builder is not None:
                     builder.mark(cur_id, "counterexample")
                 return Counterexample(
@@ -487,16 +500,16 @@ class _Game:
                     "target reaches UB but the source cannot", self.defaults
                     if self.advanced else None)
 
-            if tgt.is_terminated():
-                if not any(self._terminal_match(tgt, item)
+            if halted[tgt]:  # terminated
+                if not any(self._terminal_match(tgt_cfg, item)
                            for item in frontier):
                     if builder is not None:
                         builder.mark(cur_id, "counterexample")
                     return Counterexample(
                         initial, trace,
                         f"no source termination matches "
-                        f"trm({tgt.thread.return_value()},"
-                        f"{set(tgt.written) or '{}'},{tgt.memory})",
+                        f"trm({tgt_cfg.thread.return_value()},"
+                        f"{set(tgt_cfg.written) or '{}'},{tgt_cfg.memory})",
                         self.defaults if self.advanced else None)
                 self.obligations["terminal"] += 1
                 if builder is not None:
@@ -504,44 +517,43 @@ class _Game:
                 continue
 
             # beh-partial obligation for ⟨trace, prt(F_tgt)⟩.
-            if not self._partial_match(tgt, frontier, escapes):
+            if not self._partial_match(tgt_cfg, frontier, escapes):
                 if builder is not None:
                     builder.mark(cur_id, "counterexample")
                 return Counterexample(
                     initial, trace,
                     f"no source matches partial behavior "
-                    f"prt({set(tgt.written) or '{}'})",
+                    f"prt({set(tgt_cfg.written) or '{}'})",
                     self.defaults if self.advanced else None)
             self.obligations["partial"] += 1
 
-            action = tgt.thread.peek() if recording else None
-            for label, tgt_next in seq_steps(tgt, self.universe):
+            action = tgt_cfg.thread.peek() if recording else None
+            for label, tgt_next in steps(tgt):
                 if label is None:
                     if recording:
                         rule = ("rule.seq.machine."
-                                + classify_seq_step(tgt, action, None))
+                                + classify_seq_step(tgt_cfg, action, None))
                         if stream is not None:
                             stream.last_rule = rule
                         if builder is not None:
                             dst_id, _new = builder.node(
-                                (tgt_next, frontier), len(trace))
+                                self._graph_key(tgt_next, frontier),
+                                len(trace))
                             builder.edge(cur_id, dst_id, rule)
                     stack.append((tgt_next, frontier, trace))
                     continue
                 next_items: set[_Item] = set()
-                for item in frontier:
-                    cfg = item.cfg
-                    if cfg.is_bottom() or cfg.is_terminated():
+                for cid, commitments in frontier:
+                    if halted[cid]:
                         continue
-                    for src_label, src_next in seq_steps(cfg, self.universe):
+                    for src_label, src_next in steps(cid):
                         if src_label is None:
                             continue
-                        updated = self._match_label(label, src_label,
-                                                    item.commitments)
+                        updated = match_label(label, src_label, commitments)
                         if updated is not None:
-                            if updated != item.commitments:
+                            if updated != commitments:
                                 self.commitment_updates += 1
-                            next_items.add(_Item(src_next, updated))
+                            next_items.add((src_next, updated))
                 if len(next_items) > self.limits.max_frontier:
                     self.complete = False
                     self.incomplete_reasons.add("frontier")
@@ -566,12 +578,13 @@ class _Game:
                     probe.game_push(next_items, next_frontier)
                 if recording:
                     rule = ("rule.seq.machine."
-                            + classify_seq_step(tgt, action, label))
+                            + classify_seq_step(tgt_cfg, action, label))
                     if stream is not None:
                         stream.last_rule = rule
                     if builder is not None:
                         dst_id, _new = builder.node(
-                            (tgt_next, next_frontier), len(trace) + 1)
+                            self._graph_key(tgt_next, next_frontier),
+                            len(trace) + 1)
                         builder.edge(cur_id, dst_id, rule)
                 stack.append((tgt_next, next_frontier, trace + (label,)))
         return None
@@ -607,10 +620,12 @@ class _Game:
             registry.observe("seq.game.cex_depth", self.cex_depth)
 
     def _terminal_match(self, tgt: SeqConfig, item: _Item) -> bool:
-        cfg = item.cfg
-        if not cfg.is_terminated():
+        cid, commitments = item
+        space = self.space
+        if not space.halted[cid] or space.bottom[cid]:
             return False
-        required = tgt.written | item.commitments
+        cfg = space.configs[cid]
+        required = tgt.written | commitments
         return (value_leq(tgt.thread.return_value(),
                           cfg.thread.return_value())
                 and required <= cfg.written
@@ -618,39 +633,45 @@ class _Game:
 
     def _partial_match(self, tgt: SeqConfig, frontier: frozenset[_Item],
                        escapes: dict[_Item, _Escape]) -> bool:
+        configs = self.space.configs
         for item in frontier:
-            required = tgt.written | item.commitments
+            required = tgt.written | item[1]
             if self.advanced:
                 if any(required <= coverage
                        for coverage in escapes[item].coverages):
                     return True
             else:
-                if required <= item.cfg.written:
+                if required <= configs[item[0]].written:
                     return True
         return False
 
 
-def _as_config(program: Stmt | SeqConfig,
-               template: SeqConfig) -> SeqConfig:
-    if isinstance(program, SeqConfig):
-        return program
-    return SeqConfig.initial(program, template.perms, template.memory,
-                             template.written)
+def _space_for(source: Stmt, target: Stmt,
+               universe: Optional[SeqUniverse],
+               space: Optional[SeqSpace]) -> SeqSpace:
+    if space is not None:
+        return space
+    if universe is None:
+        universe = universe_for(source, target)
+    return SeqSpace(universe)
 
 
 def check_simple_refinement(source: Stmt, target: Stmt,
                             universe: Optional[SeqUniverse] = None,
                             limits: Limits = Limits(),
-                            caching: bool = True) -> Verdict:
+                            caching: bool = True,
+                            space: Optional[SeqSpace] = None) -> Verdict:
     """Check ``σ_tgt ⊑ σ_src`` (Def 2.4) over all initial ⟨P, F, M⟩.
 
     ``source {~> target`` is a valid transformation iff this returns
-    REFINES.  ``caching=False`` disables the game's closure/frontier
-    caches (ablation and correctness testing only).
+    REFINES.  ``caching=False`` disables the game's closure cache
+    (ablation and correctness testing only).  ``space`` is the check's
+    configuration table; without one, a fresh table over ``universe``
+    is used.
     """
-    if universe is None:
-        universe = universe_for(source, target)
-    game = _Game(universe, advanced=False, defaults=None, limits=limits,
+    space = _space_for(source, target, universe, space)
+    universe = space.universe
+    game = _Game(space, advanced=False, defaults=None, limits=limits,
                  caching=caching)
     states = 0
     with obs.span("seq.check.simple"):
@@ -676,14 +697,17 @@ def check_advanced_refinement(source: Stmt, target: Stmt,
                               limits: Limits = Limits(),
                               family: Optional[tuple[OracleDefaults, ...]]
                               = None,
-                              caching: bool = True) -> Verdict:
+                              caching: bool = True,
+                              space: Optional[SeqSpace] = None) -> Verdict:
     """Check ``σ_tgt ⊑w σ_src`` (Def 3.3) against an oracle family.
 
     A VIOLATES verdict exhibits a genuine oracle + behavior witness; a
-    REFINES verdict means no family member falsifies refinement.
+    REFINES verdict means no family member falsifies refinement.  Every
+    game of the family shares one configuration table (``space``, as
+    for :func:`check_simple_refinement`).
     """
-    if universe is None:
-        universe = universe_for(source, target)
+    space = _space_for(source, target, universe, space)
+    universe = space.universe
     if family is None:
         family = default_oracle_family(universe.values)
     obs.gauge("seq.check.oracle_family_size", len(family))
@@ -692,7 +716,7 @@ def check_advanced_refinement(source: Stmt, target: Stmt,
     reasons: set[str] = set()
     with obs.span("seq.check.advanced"):
         for defaults in family:
-            game = _Game(universe, advanced=True, defaults=defaults,
+            game = _Game(space, advanced=True, defaults=defaults,
                          limits=limits, caching=caching)
             for tgt0 in iter_initial_configs(target, universe):
                 src0 = SeqConfig.initial(source, tgt0.perms, tgt0.memory,
@@ -763,15 +787,18 @@ def check_transformation(source: Stmt, target: Stmt,
     """Validate ``source {~> target``: try simple, then advanced.
 
     By Prop 3.4 simple refinement implies advanced refinement, so the
-    advanced check only runs when the simple one fails.
+    advanced check only runs when the simple one fails, on the
+    configurations the simple game already expanded: both checks share
+    one :class:`SeqSpace`, dropped with the verdict.
     """
-    simple = check_simple_refinement(source, target, universe, limits,
-                                     caching=caching)
+    space = _space_for(source, target, universe, None)
+    simple = check_simple_refinement(source, target, limits=limits,
+                                     caching=caching, space=space)
     if simple.refines:
         verdict = TransformationVerdict(simple, None)
     else:
-        advanced = check_advanced_refinement(source, target, universe,
-                                             limits, caching=caching)
+        advanced = check_advanced_refinement(source, target, limits=limits,
+                                             caching=caching, space=space)
         verdict = TransformationVerdict(simple, advanced)
     obs.inc("seq.check.transformations")
     obs.inc(f"seq.check.notion.{verdict.notion}")

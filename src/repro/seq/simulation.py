@@ -31,7 +31,7 @@ from typing import Optional
 
 from .. import obs
 from ..lang.ast import Expr, If, Seq, Stmt, While
-from .machine import SeqUniverse, universe_for
+from .machine import SeqSpace, SeqUniverse, universe_for
 from .refinement import (
     Limits,
     Verdict,
@@ -65,12 +65,14 @@ def check_simulation(source: Stmt, target: Stmt,
     """
     if universe is None:
         universe = universe_for(source, target)
+    space = SeqSpace(universe)
     with obs.span("seq.simulation"):
-        simple = check_simple_refinement(source, target, universe, limits)
+        simple = check_simple_refinement(source, target, limits=limits,
+                                         space=space)
         if simple.refines:
             return SimulationResult(True, "simple", simple)
-        advanced = check_advanced_refinement(source, target, universe,
-                                             limits)
+        advanced = check_advanced_refinement(source, target, limits=limits,
+                                             space=space)
         if advanced.refines:
             return SimulationResult(True, "advanced", simple, advanced)
         return SimulationResult(False, "none", simple, advanced)

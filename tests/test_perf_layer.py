@@ -180,6 +180,13 @@ class TestCacheTransparency:
         plain = check_transformation(case.source, case.target, caching=False)
         assert (cached.valid, cached.notion) == (plain.valid, plain.notion)
         assert cached.complete == plain.complete
+        for mine, theirs in ((cached.simple, plain.simple),
+                             (cached.advanced, plain.advanced)):
+            if mine is None:
+                assert theirs is None
+                continue
+            assert mine.game_states == theirs.game_states
+            assert mine.counterexample == theirs.counterexample
 
     def test_promise_heavy_exploration_actually_hits_the_cert_cache(self):
         lb = [parse("a := x_rlx; y_rlx := a; return a;"),
