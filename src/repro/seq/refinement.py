@@ -722,12 +722,14 @@ def check_advanced_refinement(source: Stmt, target: Stmt,
                 src0 = SeqConfig.initial(source, tgt0.perms, tgt0.memory,
                                          tgt0.written)
                 cex = game.run(tgt0, src0)
-                states += game.game_states
                 if cex is not None:
                     game.cex_depth = len(cex.trace)
                     game.flush_metrics()
                     obs.inc("seq.check.advanced")
-                    return Verdict(False, True, "advanced", cex, states)
+                    return Verdict(False, True, "advanced", cex,
+                                   states + game.game_states)
+            # game_states counts every initial configuration of the game.
+            states += game.game_states
             complete = complete and game.complete
             reasons |= game.incomplete_reasons
             game.flush_metrics()

@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.adequacy import check_adequacy
 from repro.lang import node_count, parse
+from repro.litmus import EXTENDED_CASES
 from repro.obs.metrics import Histogram, MetricsRegistry, diff_snapshots
 from repro.obs.report import (
     BENCH_SCHEMA,
@@ -155,6 +156,14 @@ class TestSeqGameCounters:
         assert counters["seq.check.notion.simple"] == 1
         assert counters["seq.game.obligations.partial"] > 0
         assert counters["seq.game.obligations.terminal"] > 0
+
+    @pytest.mark.parametrize(
+        "case", EXTENDED_CASES, ids=lambda case: case.name)
+    def test_verdict_game_states_match_counter(self, case):
+        with obs.session() as session:
+            verdict = check_transformation(case.source, case.target)
+        counters = session.metrics.snapshot()["counters"]
+        assert verdict.game_states == counters["seq.game.states"]
 
     def test_incomplete_reasons_named(self):
         from repro.seq.refinement import Limits, check_simple_refinement

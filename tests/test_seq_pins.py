@@ -27,7 +27,7 @@ CASES = {
         (),
         6,
         ("no source termination matches trm(1,{'x'},{x↦1})", 0),
-        9,
+        6,
         ("no source termination matches trm(1,{'x'},{x↦1})", 0),
     ),
     'overwritten-store-elim': ('simple', True, (), 12, None, None, None),
@@ -40,7 +40,7 @@ CASES = {
         (),
         9,
         ("no source matches partial behavior prt({'x'})", 0),
-        18,
+        9,
         ("no source matches partial behavior prt({'x'})", 0),
     ),
     'redundant-store-intro': ('simple', True, (), 15, None, None, None),
@@ -61,7 +61,7 @@ CASES = {
         (),
         14,
         ("no source matches partial behavior prt({'x'})", 0),
-        29,
+        14,
         ("no source matches partial behavior prt({'x'})", 0),
     ),
     'read-across-infinite-loop': ('simple', True, (), 12, None, None, None),
@@ -94,7 +94,7 @@ CASES = {
         ('no source step matches target label '
          "Wrel(x,1,P={'y'}->{},F={},V={y↦0})",
          1),
-        11,
+        5,
         ('no source matches partial behavior prt({})', 1),
     ),
     'acq-then-na-read': (
@@ -112,7 +112,7 @@ CASES = {
         (),
         15,
         ('no source termination matches trm(undef,{},{y↦0})', 1),
-        27,
+        15,
         ('no source termination matches trm(undef,{},{y↦0})', 1),
     ),
     'na-write-then-acq': ('simple', True, (), 22, None, None, None),
@@ -124,7 +124,7 @@ CASES = {
         (),
         2,
         ('target reaches UB but the source cannot', 0),
-        264,
+        96,
         None,
     ),
     'store-reintro-after-rel': (
@@ -133,7 +133,7 @@ CASES = {
         (),
         6,
         ("no source matches partial behavior prt({'x'})", 1),
-        9,
+        6,
         ("no source matches partial behavior prt({'x'})", 1),
     ),
     'store-reintro-after-rlx': ('simple', True, (), 12, None, None, None),
@@ -147,7 +147,7 @@ CASES = {
         (),
         25,
         ('no source termination matches trm(1,{},{x↦2})', 2),
-        31,
+        25,
         ('no source termination matches trm(1,{},{x↦2})', 2),
     ),
     'rlx-read-then-na-write': (
@@ -156,7 +156,7 @@ CASES = {
         (),
         2,
         ('target reaches UB but the source cannot', 0),
-        186,
+        108,
         None,
     ),
     'acq-then-div-by-zero': (
@@ -201,7 +201,7 @@ CASES = {
         (),
         2,
         ('target reaches UB but the source cannot', 0),
-        264,
+        96,
         None,
     ),
     'dse-across-rlx-read': ('simple', True, (), 42, None, None, None),
@@ -215,7 +215,7 @@ CASES = {
         ('no source step matches target label '
          "Wrel(y,3,P={'x'}->{},F={},V={x↦0})",
          1),
-        560,
+        160,
         None,
     ),
     'choose-then-rel': (
@@ -235,7 +235,7 @@ CASES = {
         (),
         2,
         ('target reaches UB but the source cannot', 0),
-        150,
+        84,
         None,
     ),
     'reorder-na-read-rlx-read': ('simple', True, (), 78, None, None, None),
@@ -247,7 +247,7 @@ CASES = {
         (),
         2,
         ('target reaches UB but the source cannot', 0),
-        186,
+        108,
         None,
     ),
     'reorder-na-read-rlx-write': ('simple', True, (), 16, None, None, None),
@@ -259,7 +259,7 @@ CASES = {
         (),
         2,
         ('target reaches UB but the source cannot', 0),
-        312,
+        120,
         None,
     ),
     'reorder-rlx-rlx': (
@@ -279,7 +279,7 @@ CASES = {
         (),
         15,
         ('no source termination matches trm(1,{},{x↦0})', 2),
-        18,
+        15,
         ('no source termination matches trm(1,{},{x↦0})', 2),
     ),
     'write-into-acq-fence': ('simple', True, (), 10, None, None, None),
@@ -298,7 +298,7 @@ CASES = {
         (),
         2,
         ('target reaches UB but the source cannot', 0),
-        96,
+        48,
         None,
     ),
     'write-out-of-rel-fence': (
@@ -308,7 +308,7 @@ CASES = {
         3,
         ("no source step matches target label "
          "Frel(P={'y'}->{},F={},V={y↦0})", 1),
-        7,
+        4,
         ('no source matches partial behavior prt({})', 1),
     ),
     'dse-across-rel-fence': (
@@ -318,7 +318,7 @@ CASES = {
         4,
         ("no source step matches target label "
          "Frel(P={'x'}->{},F={},V={x↦0})", 1),
-        264,
+        96,
         None,
     ),
     'read-into-acq-fence': ('simple', True, (), 34, None, None, None),
