@@ -134,8 +134,6 @@ GAME_RULE_TAGS: tuple[str, ...] = (
 #: :class:`SeqSpace`) plus its commitment set.
 _Item = tuple[int, frozenset[str]]
 
-_NO_SCRIPT: frozenset = frozenset()
-
 
 @dataclass
 class _Escape:
@@ -255,7 +253,7 @@ class _Game:
         reachable (beh-partial).  In simple mode suffixes are unlabeled
         only, so this reduces to inspecting the already-closed frontier.
         """
-        key = (item[0], script if self.advanced else _NO_SCRIPT)
+        key = (item[0], script if self.advanced else frozenset())
         cached = self._escape_cache.get(key)
         if cached is not None:
             self.escape_cache_hits += 1
