@@ -31,6 +31,7 @@ from ..psna.explore import PsBehavior, PsBottom, PsResult
 from ..psna.machine import (
     MachineState,
     MachineStepInfo,
+    PsSpace,
     canonical_key,
     initial_state,
     labeled_machine_steps,
@@ -163,6 +164,7 @@ def find_witness(programs: Sequence[Stmt],
     queue: list[tuple[MachineState, tuple[MachineStepInfo, ...]]] = [
         (start, ())]
     seen = {canonical_key(start)}
+    space = PsSpace(config)
     searched = 0
     while queue:
         next_queue: list[tuple[MachineState,
@@ -176,7 +178,8 @@ def find_witness(programs: Sequence[Stmt],
                 return Witness(start, path, outcome, searched)
             if searched > max_states:
                 return None
-            for info in labeled_machine_steps(state, config):
+            for info in labeled_machine_steps(state, config,
+                                              space=space):
                 key = canonical_key(info.state)
                 if key in seen:
                     continue

@@ -14,6 +14,7 @@ from .thread import (
 from .machine import (
     CertCache,
     MachineState,
+    PsSpace,
     canonical_key,
     certifiable,
     certification_key,
@@ -40,7 +41,7 @@ __all__ = [
     "SEMANTICS_VERSION",
     "CertStore", "cert_digest", "config_fingerprint",
     "PsConfig", "ThreadLts", "ThreadStep", "is_racy", "thread_steps",
-    "CertCache", "MachineState", "canonical_key",
+    "CertCache", "MachineState", "PsSpace", "canonical_key",
     "certifiable", "certification_key", "initial_state", "intern_cert",
     "intern_state", "machine_steps", "written_locations",
     "Exploration", "PsBehavior", "PsBottom", "PsResult", "behavior_leq",

@@ -16,7 +16,7 @@ the :mod:`repro.obs` session when one is active.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .. import obs
 from ..lang.ast import Stmt
@@ -24,13 +24,7 @@ from ..lang.itree import ThreadState
 from ..lang.values import Value, value_leq
 from ..obs.events import STATE_EVENT_INTERVAL
 from . import certstore, machine
-from .machine import (
-    CertCache,
-    MachineState,
-    initial_state,
-    labeled_machine_steps,
-    machine_steps,
-)
+from .machine import CertCache, MachineStepInfo, initial_state
 from .thread import PsConfig
 
 #: ``Exploration.incomplete_reason`` values.
@@ -38,13 +32,13 @@ STATE_BOUND = "state-bound"
 DEPTH_BOUND = "depth-bound"
 
 
-def _rule_id(info) -> str:
-    """The ``rule.*`` identifier of one labeled machine step."""
-    if info.tag == "sc-fence":
+def _rule_id(tag: str) -> str:
+    """The ``rule.*`` identifier of one machine step's tag."""
+    if tag == "sc-fence":
         return "rule.psna.machine.sc-fence"
-    if info.tag == "machine-failure":
+    if tag == "machine-failure":
         return "rule.psna.machine.failure"
-    return f"rule.psna.thread.{info.tag}"
+    return f"rule.psna.thread.{tag}"
 
 
 @dataclass(frozen=True)
@@ -146,17 +140,19 @@ def explore(programs: list[Stmt | ThreadState],
 
 def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
              locations: Optional[set[str]]) -> Exploration:
-    start = initial_state(programs, config, locations)
     # The persistent verdict store is consulted only when one is bound
     # for the process and the config allows it.
     store = certstore.active() if config.enable_cert_store else None
     cert_cache = CertCache(store) if config.enable_cert_cache else None
-    # Looked up per run, not imported: tracing tools patch the module.
-    state_key = machine.intern_state
+    # Looked up per run, not imported: tests patch the module.
+    space = machine.PsSpace(config, cert_cache)
+    successors = space.successors
+    behavior_returns = space.behavior_returns
     behaviors: set[PsResult] = set()
-    start_key = state_key(start)
+    # States are PsSpace keys; ⊥ keys are ("⊥", syscalls).
+    start_key = space.encode(initial_state(programs, config, locations))
     seen = {start_key}
-    stack: list[tuple[MachineState, int]] = [(start, config.max_depth)]
+    stack: list[tuple[tuple, int]] = [(start_key, config.max_depth)]
     states = 0
     stuck = 0
     dedup_hits = 0
@@ -166,8 +162,8 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
     depth_bound_hit = False
 
     # Graph/stream telemetry: both default to None and the hot loop pays
-    # one boolean check; when recording, the labeled step enumeration
-    # (same successor order) supplies the rule id per edge.
+    # one boolean check; when recording, the step tags supply the rule
+    # id per edge, and the monitor probe sees decoded states.
     recorder = obs.graph()
     stream = obs.stream()
     builder = recorder.builder("psna.explore") if recorder is not None \
@@ -194,47 +190,47 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
                             reason=STATE_BOUND, states=states,
                             last_rule=stream.last_rule)
             break
-        state, depth = stack.pop()
+        key, depth = stack.pop()
         states += 1
         if not recording:
-            if state.bottom:
-                behaviors.add(PsBottom(state.syscalls))
+            if key[0] == "⊥":
+                behaviors.add(PsBottom(key[1]))
                 continue
-            if state.all_terminated():
-                behaviors.add(PsBehavior(state.return_values(),
-                                         state.syscalls))
+            returns = behavior_returns(key[0])
+            if returns is not None:
+                behaviors.add(PsBehavior(returns, key[3]))
                 continue
             if depth == 0:
                 depth_bound_hit = True
                 continue
             progressed = False
-            for successor in machine_steps(state, config, cert_cache):
+            for _index, _tag, _cause, successor, _shifts in successors(key):
                 progressed = True
-                key = state_key(successor)
-                if key not in seen:
-                    seen.add(key)
+                if successor not in seen:
+                    seen.add(successor)
                     dedup_misses += 1
                     stack.append((successor, depth - 1))
                 else:
                     dedup_hits += 1
         else:
             # Recording path: mirror of the loop above, plus node/edge
-            # capture and periodic stream progress.
+            # capture, periodic stream progress and monitor checks.
             cur_depth = config.max_depth - depth
             src_id = -1
             if builder is not None:
-                src_id = builder.node_id(state_key(state), cur_depth)
+                src_id = builder.node_id(key, cur_depth)
             if stream is not None and states % STATE_EVENT_INTERVAL == 0:
                 stream.emit("state", span="psna.explore", states=states,
                             frontier=len(stack), behaviors=len(behaviors))
-            if state.bottom:
-                behavior = PsBottom(state.syscalls)
+            if key[0] == "⊥":
+                behavior = PsBottom(key[1])
                 behaviors.add(behavior)
                 if builder is not None:
                     builder.mark(src_id, "bottom", repr(behavior))
                 continue
-            if state.all_terminated():
-                behavior = PsBehavior(state.return_values(), state.syscalls)
+            returns = behavior_returns(key[0])
+            if returns is not None:
+                behavior = PsBehavior(returns, key[3])
                 behaviors.add(behavior)
                 if builder is not None:
                     builder.mark(src_id, "terminal", repr(behavior))
@@ -244,22 +240,26 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
                 if builder is not None:
                     builder.truncated()
                 continue
+            state = space.decode(key) if probe is not None else None
             progressed = False
-            for info in labeled_machine_steps(state, config, cert_cache):
+            for index, tag, cause, successor, shifts in successors(key):
                 progressed = True
-                rule = _rule_id(info)
+                rule = _rule_id(tag)
                 if stream is not None:
                     stream.last_rule = rule
-                key = state_key(info.state)
                 if probe is not None:
-                    probe.machine_step(state, info)
+                    probe.machine_step(state, MachineStepInfo(
+                        index, tag,
+                        state.evolve(bottom=True) if cause is not None
+                        else space.decode(successor),
+                        cause, shifts))
                 if builder is not None:
-                    dst_id, _new = builder.node(key, cur_depth + 1)
+                    dst_id, _new = builder.node(successor, cur_depth + 1)
                     builder.edge(src_id, dst_id, rule)
-                if key not in seen:
-                    seen.add(key)
+                if successor not in seen:
+                    seen.add(successor)
                     dedup_misses += 1
-                    stack.append((info.state, depth - 1))
+                    stack.append((successor, depth - 1))
                 else:
                     dedup_hits += 1
             if builder is not None:

@@ -14,6 +14,9 @@ state can replay the remaining steps of the sequence.
 Timestamps are dense per-location ranks (:mod:`repro.psna.view`), so
 every reachable state is already the canonical representative of its
 timestamp-renaming class: exploration deduplicates states as values.
+An exploration steps them through one :class:`PsSpace`, which gives each
+thread configuration and memory a dense int id and expands each pair
+once.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from ..lang.ast import Stmt, walk
 from ..lang.ast import Rmw as RmwStmt
 from ..lang.ast import Store as StoreStmt
 from ..lang.interp import WhileThread
-from ..lang.itree import FenceAction, SyscallAction, ThreadState
+from ..lang.itree import ErrAction, FenceAction, RetAction, \
+    SyscallAction, ThreadState
 from ..lang.events import FenceKind
 from ..lang.values import Value
 from .certstore import CertStore, cert_digest, config_fingerprint
 from .memory import AnyMessage, Memory, NAMessage
-from .thread import PsConfig, ThreadLts, thread_steps
+from .thread import _RULE_COUNTERS, PsConfig, ThreadLts, \
+    _thread_steps, thread_steps
 from .view import Time, View
 
 
@@ -110,14 +115,17 @@ def initial_state(programs: list[Stmt | ThreadState],
 class CertCache:
     """Per-exploration memoization of :func:`certifiable` outcomes.
 
-    Keyed on the ``(thread, memory.messages)`` pair itself
-    (:func:`intern_cert`): with dense timestamps every pair is already
-    canonical, so candidate successors that reach the same pair by
-    different insertions share one certification search.  Entries are
-    never evicted: ``ThreadLts`` and ``Memory`` are immutable, and
+    Keyed on the certification pair: its :class:`PsSpace` pair id when
+    the exploration's space asks, else the ``(thread, memory.messages)``
+    pair itself (:func:`intern_cert`).  A cache serves one space or none,
+    never both.  With dense timestamps every pair is already canonical,
+    so candidate successors that reach the same pair by different
+    insertions share one certification search.  Entries are never
+    evicted: ``ThreadLts`` and ``Memory`` are immutable, and
     certification is a pure function of the pair for a fixed
     :class:`PsConfig` — the in-memory cache is therefore only valid for
-    the single exploration (single config) that owns it.
+    the single exploration (single config) that owns it.  The thread
+    steps a search expands are memoized by the space, not here.
 
     ``store`` optionally backs the cache with the persistent cross-run
     verdict store (:class:`repro.psna.certstore.CertStore`).  A store
@@ -127,19 +135,11 @@ class CertCache:
     with a cold store, a warm store, or no store at all.
     """
 
-    __slots__ = ("entries", "steps", "hits", "misses", "monitor", "store",
+    __slots__ = ("entries", "hits", "misses", "monitor", "store",
                  "fingerprint")
 
     def __init__(self, store: Optional[CertStore] = None) -> None:
         self.entries: dict[object, bool] = {}
-        #: Cross-search memo of certification successor expansions:
-        #: ``(thread, memory.messages) -> ((thread', memory'), ...)``.
-        #: Distinct certification searches launched from neighbouring
-        #: machine states revisit largely the same thread-local frontier
-        #: (~4x redundancy on the litmus catalog); successor sets are a
-        #: pure function of the pair under the fixed certifying config,
-        #: so they are shared for the lifetime of the exploration.
-        self.steps: dict = {}
         self.hits = 0
         self.misses = 0
         #: Optional :class:`repro.obs.monitor.MonitorProbe`: when set,
@@ -168,7 +168,8 @@ def _certifying(config: PsConfig) -> PsConfig:
 
 
 def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
-                cache: Optional[CertCache] = None) -> bool:
+                cache: Optional[CertCache] = None, *,
+                space: Optional["PsSpace"] = None) -> bool:
     """Can the thread, running alone, fulfill all its promises?
 
     Searches thread-local runs for a state with an empty promise set.
@@ -180,7 +181,10 @@ def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
     contract.  Cache hits still fire the ``rule.psna.cert.*`` coverage
     counters (the side-condition *was* resolved), but not
     ``psna.cert.attempts``/``psna.cert.states``, which count actual
-    search work.
+    search work.  With ``space`` (a :class:`PsSpace` under ``config``
+    that has interned the pair) the cache keys on the pair's id and the
+    search runs over ids; without it the search steps with
+    :func:`thread_steps`.
     """
     if not thread.promises:
         return True
@@ -188,7 +192,8 @@ def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
     store = None
     digest = None
     if cache is not None:
-        key = intern_cert(thread, memory)
+        key = (space.pair(thread, memory) if space is not None
+               else intern_cert(thread, memory))
         cached = cache.entries.get(key)
         if cached is not None:
             cache.hits += 1
@@ -220,39 +225,12 @@ def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
                     return cached
                 if registry is not None:
                     registry.inc("psna.cert.store_misses")
-    cert_config = _certifying(config)
-    seen: set = set()
-    stack: list[tuple[ThreadLts, Memory, int]] = [
-        (thread, memory, config.cert_depth)]
-    certified = False
-    steps_memo = cache.steps if cache is not None else None
     with obs.span("psna.cert"):
-        while stack:
-            current, mem, depth = stack.pop()
-            if not current.promises:
-                certified = True
-                break
-            if depth == 0 or current.is_bottom() or current.is_terminated():
-                continue
-            seen_key = (current, mem.messages)
-            if seen_key in seen:
-                continue
-            seen.add(seen_key)
-            if steps_memo is not None:
-                succ = steps_memo.get(seen_key)
-                if succ is None:
-                    succ = tuple(
-                        (step.thread, step.memory)
-                        for step in thread_steps(current, mem, cert_config)
-                        if not step.thread.is_bottom())  # UB does not certify
-                    steps_memo[seen_key] = succ
-                for nxt, nxt_mem in succ:
-                    stack.append((nxt, nxt_mem, depth - 1))
-            else:
-                for step in thread_steps(current, mem, cert_config):
-                    if step.thread.is_bottom():
-                        continue  # UB does not certify
-                    stack.append((step.thread, step.memory, depth - 1))
+        if space is not None:
+            certified, visited = space.search(
+                space.pair(thread, memory) if key is None else key)
+        else:
+            certified, visited = _search(thread, memory, config)
     if cache is not None:
         cache.entries[key] = certified
         if store is not None and digest is not None \
@@ -263,12 +241,335 @@ def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
     registry = obs.metrics()
     if registry is not None:
         registry.inc("psna.cert.attempts")
-        registry.inc("psna.cert.states", len(seen))
+        registry.inc("psna.cert.states", visited)
         registry.inc("rule.psna.cert.success" if certified
                      else "rule.psna.cert.failure")
         if not certified:
             registry.inc("psna.cert.failures")
     return certified
+
+
+def _search(thread: ThreadLts, memory: Memory,
+            config: PsConfig) -> tuple[bool, int]:
+    """The certification search by :func:`thread_steps` — the table-free
+    path the monitor's uncached oracles take.  Returns the verdict and
+    the number of pairs expanded."""
+    cert_config = _certifying(config)
+    seen: set = set()
+    stack: list[tuple[ThreadLts, Memory, int]] = [
+        (thread, memory, config.cert_depth)]
+    while stack:
+        current, mem, depth = stack.pop()
+        if not current.promises:
+            return True, len(seen)
+        if depth == 0 or current.is_bottom() or current.is_terminated():
+            continue
+        seen_key = (current, mem.messages)
+        if seen_key in seen:
+            continue
+        seen.add(seen_key)
+        for step in thread_steps(current, mem, cert_config):
+            if step.thread.is_bottom():
+                continue  # UB does not certify
+            stack.append((step.thread, step.memory, depth - 1))
+    return False, len(seen)
+
+
+# ---------------------------------------------------------------------------
+# The step table
+# ---------------------------------------------------------------------------
+
+#: A thread id and a memory id pack into one int pair id.
+_PAIR_BITS = 32
+_MEMORY_MASK = (1 << _PAIR_BITS) - 1
+
+#: ``PsSpace.returns`` entry of a thread that has not terminated.
+_RUNNING = object()
+
+
+class PsSpace:
+    """The thread configurations one exploration visits, as dense int ids.
+
+    Each :class:`ThreadLts` and each memory message set gets an id the
+    first time it is interned, so it is hashed once; a ``(thread id,
+    memory id)`` pair packs into one int.  Machine states are then keys
+    ``(thread ids, memory id, sc_view, syscalls)``, or ``("⊥",
+    syscalls)`` for every ⊥ state (:func:`intern_state` on ids), and
+    :meth:`decode` rebuilds a :class:`MachineState` where a consumer
+    needs objects.
+
+    Each pair is expanded once under the exploration's config, as
+    entries ``(tag, succ thread id, succ memory id, shifts, syscall)``
+    (thread id ``-1`` for a step to ⊥), and once more under the
+    certifying config for the certification search, which runs on pair
+    ids (:meth:`search`).  With a :class:`CertCache`, each successor's
+    verdict is memoized with the entry, and a later expansion serves it
+    as a cache hit.  Without one, every verdict is re-certified; the
+    table memoizes steps, not verdicts.
+
+    Counters are those of stepping without the table:
+    ``rule.psna.thread.*`` fires on every machine expansion, every
+    served verdict counts as a :class:`CertCache` hit (firing
+    ``rule.psna.cert.*`` and reaching the monitor's ``cert_hit``
+    oracle), and a certification expansion fires its thread rules once
+    per exploration, or on every search when verdicts are not cached.
+    A space covers one config and lives for one exploration: the caller
+    that creates it drops it with the result.
+    """
+
+    __slots__ = ("config", "cert_config", "cache", "threads", "memories",
+                 "promised", "halted", "returns", "fences", "_thread_ids",
+                 "_memory_ids", "_steps", "_cert_steps", "_shifted")
+
+    def __init__(self, config: PsConfig,
+                 cache: Optional[CertCache] = None) -> None:
+        self.config = config
+        self.cert_config = _certifying(config)
+        self.cache = cache
+        self.threads: list[ThreadLts] = []  # id -> thread
+        self.memories: list[Memory] = []  # id -> memory
+        #: thread id -> outstanding promises; -> bottom or terminated;
+        #: -> return value (or ``_RUNNING``); -> pending SC fence
+        self.promised: list[bool] = []
+        self.halted: list[bool] = []
+        self.returns: list = []
+        self.fences: list[bool] = []
+        self._thread_ids: dict[ThreadLts, int] = {}
+        self._memory_ids: dict[frozenset, int] = {}
+        #: pair id -> [entries, rule counters, verdict checks, kept]
+        self._steps: dict[int, list] = {}
+        #: pair id -> (rule counters, non-⊥ successor pair ids)
+        self._cert_steps: dict[int, tuple] = {}
+        self._shifted: dict[tuple, int] = {}
+
+    # -- ids ---------------------------------------------------------------
+
+    def thread_id(self, thread: ThreadLts) -> int:
+        """The id of ``thread``, assigning the next one on first sight."""
+        tid = self._thread_ids.setdefault(thread, len(self.threads))
+        if tid == len(self.threads):
+            self.threads.append(thread)
+            action = thread.program.peek()
+            terminated = isinstance(action, RetAction)
+            self.promised.append(bool(thread.promises))
+            self.halted.append(terminated or isinstance(action, ErrAction))
+            self.returns.append(thread.return_value() if terminated
+                                else _RUNNING)
+            self.fences.append(isinstance(action, FenceAction)
+                               and action.kind is FenceKind.SC)
+        return tid
+
+    def memory_id(self, memory: Memory) -> int:
+        """The id of ``memory``'s message set, assigned on first sight."""
+        mid = self._memory_ids.setdefault(memory.messages,
+                                          len(self.memories))
+        if mid == len(self.memories):
+            self.memories.append(memory)
+        return mid
+
+    def pair(self, thread: ThreadLts, memory: Memory) -> int:
+        """The pair id of a thread configuration."""
+        return self.thread_id(thread) << _PAIR_BITS | self.memory_id(memory)
+
+    def encode(self, state: MachineState):
+        """The key of ``state``."""
+        if state.bottom:
+            return ("⊥", state.syscalls)
+        return (tuple(map(self.thread_id, state.threads)),
+                self.memory_id(state.memory), state.sc_view, state.syscalls)
+
+    def decode(self, key) -> MachineState:
+        """The state of a non-⊥ key."""
+        tids, mid, sc_view, syscalls = key
+        threads = self.threads
+        return MachineState(tuple(threads[tid] for tid in tids),
+                            self.memories[mid], sc_view, syscalls)
+
+    def behavior_returns(self, tids: tuple[int, ...]):
+        """The return values of threads that all terminated, else None."""
+        values = tuple(self.returns[tid] for tid in tids)
+        return None if _RUNNING in values else values
+
+    def shift(self, tid: int, loc: str, k: Time) -> int:
+        """:meth:`ThreadLts.shift` on ids, memoized."""
+        key = (tid, loc, k)
+        shifted = self._shifted.get(key)
+        if shifted is None:
+            shifted = self._shifted[key] = self.thread_id(
+                self.threads[tid].shift(loc, k))
+        return shifted
+
+    # -- machine steps -----------------------------------------------------
+
+    def steps(self, tid: int, mid: int) -> tuple:
+        """The ``machine: normal`` and ``machine: failure`` candidates of
+        thread ``tid`` on memory ``mid`` that pass certification, as
+        entries ``(tag, succ tid, succ mid, shifts, syscall)``."""
+        pair = tid << _PAIR_BITS | mid
+        expansion = self._steps.get(pair)
+        if expansion is None:
+            expansion = self._steps[pair] = self._expand(tid, mid)
+        entries, rules, checks, kept = expansion
+        registry = obs.metrics()
+        if kept is None:
+            return self._certify_all(expansion, registry)
+        if registry is not None:
+            for rule in rules:
+                registry.inc(rule)
+        if checks:
+            # Every memoized verdict is a CertCache hit, as a lookup in
+            # ``cache.entries`` would have been.
+            cache = self.cache
+            cache.hits += len(checks)
+            monitor = cache.monitor
+            if monitor is not None or registry is not None:
+                threads, memories = self.threads, self.memories
+                for stid, smid, verdict in checks:
+                    if monitor is not None:
+                        monitor.cert_hit(threads[stid], memories[smid],
+                                         verdict)
+                    if registry is not None:
+                        registry.inc("rule.psna.cert.success" if verdict
+                                     else "rule.psna.cert.failure")
+        return kept
+
+    def _expand(self, tid: int, mid: int) -> list:
+        thread = self.threads[tid]
+        action = thread.program.peek()
+        syscall = ((action.name, action.value)
+                   if isinstance(action, SyscallAction) else None)
+        entries = []
+        rules = []
+        for step in _thread_steps(thread, self.memories[mid], self.config):
+            rules.append(_RULE_COUNTERS[step.tag])
+            if step.thread.is_bottom():
+                entries.append((step.tag, -1, -1, (), None))
+            else:
+                entries.append((
+                    step.tag, self.thread_id(step.thread),
+                    self.memory_id(step.memory), step.shifts,
+                    syscall if step.tag == "syscall" else None))
+        return [tuple(entries), tuple(rules), None, None]
+
+    def _certify_all(self, expansion: list, registry) -> tuple:
+        """Certify every candidate of an expansion (in step order, each
+        through :func:`certifiable`), memoizing the verdicts when the
+        space has a :class:`CertCache`."""
+        entries, rules, _checks, _kept = expansion
+        promised = self.promised
+        kept = []
+        checks = []
+        for entry, rule in zip(entries, rules):
+            if registry is not None:
+                registry.inc(rule)
+            stid = entry[1]
+            if stid >= 0 and promised[stid]:
+                smid = entry[2]
+                verdict = self._certify(stid, smid)
+                checks.append((stid, smid, verdict))
+                if not verdict:
+                    continue  # machine: normal requires certification
+            kept.append(entry)
+        kept = tuple(kept)
+        if self.cache is not None:
+            expansion[2] = tuple(checks)
+            expansion[3] = kept
+        return kept
+
+    def _certify(self, tid: int, mid: int) -> bool:
+        """One certification verdict, through the module-level
+        :func:`certifiable` (which tracing tools may patch)."""
+        return certifiable(self.threads[tid], self.memories[mid],
+                           self.config, self.cache, space=self)
+
+    def successors(self, key):
+        """The machine steps of the non-⊥ state ``key``: tuples ``(thread
+        index, tag, cause, successor key, shifts)``.  ``cause`` is the
+        thread rule of a ``machine-failure`` step, else None.  Machine
+        rules count into ``rule.psna.machine.*``."""
+        tids, mid, sc_view, syscalls = key
+        registry = obs.metrics()
+        for index, tid in enumerate(tids):
+            if self.fences[tid]:
+                # SC fences need the machine's global view.
+                thread = self.threads[tid]
+                view = thread.view.join(sc_view)
+                fenced = self.thread_id(thread.evolve(
+                    program=thread.program.resume(None), view=view))
+                if registry is not None:
+                    registry.inc("rule.psna.machine.sc-fence")
+                yield (index, "sc-fence", None,
+                       (tids[:index] + (fenced,) + tids[index + 1:], mid,
+                        view, syscalls), ())
+                continue
+            for tag, stid, smid, shifts, call in self.steps(tid, mid):
+                if stid < 0:
+                    if registry is not None:
+                        registry.inc("rule.psna.machine.failure")
+                    yield index, "machine-failure", tag, ("⊥", syscalls), ()
+                    continue
+                if registry is not None:
+                    registry.inc("rule.psna.machine.normal")
+                if shifts:
+                    moved = list(tids)
+                    view = sc_view
+                    shift = self.shift
+                    for loc, k in shifts:
+                        moved = [shift(other, loc, k) for other in moved]
+                        view = view.shift(loc, k)
+                    moved[index] = stid
+                    threads = tuple(moved)
+                else:
+                    threads = tids[:index] + (stid,) + tids[index + 1:]
+                    view = sc_view
+                yield (index, tag, None,
+                       (threads, smid, view,
+                        syscalls if call is None else syscalls + (call,)),
+                       shifts)
+
+    # -- certification -----------------------------------------------------
+
+    def search(self, pair: int) -> tuple[bool, int]:
+        """The certification search from pair id ``pair``: can its
+        thread, running alone, reach an empty promise set within
+        ``cert_depth`` steps?  Returns the verdict and the number of
+        pairs expanded (the ``psna.cert.states`` count)."""
+        promised, halted = self.promised, self.halted
+        successors = self._cert_successors
+        registry = obs.metrics()
+        seen: set[int] = set()
+        stack = [(pair, self.config.cert_depth)]
+        while stack:
+            pair, depth = stack.pop()
+            tid = pair >> _PAIR_BITS
+            if not promised[tid]:
+                return True, len(seen)
+            if depth == 0 or halted[tid] or pair in seen:
+                continue
+            seen.add(pair)
+            depth -= 1
+            for succ in successors(pair, registry):
+                stack.append((succ, depth))
+        return False, len(seen)
+
+    def _cert_successors(self, pair: int, registry) -> tuple[int, ...]:
+        expansion = self._cert_steps.get(pair)
+        if expansion is None:
+            rules = []
+            succ = []
+            for step in _thread_steps(self.threads[pair >> _PAIR_BITS],
+                                      self.memories[pair & _MEMORY_MASK],
+                                      self.cert_config):
+                rules.append(_RULE_COUNTERS[step.tag])
+                if not step.thread.is_bottom():  # UB does not certify
+                    succ.append(self.pair(step.thread, step.memory))
+            expansion = self._cert_steps[pair] = (tuple(rules), tuple(succ))
+        elif self.cache is not None:
+            return expansion[1]
+        if registry is not None:
+            for rule in expansion[0]:
+                registry.inc(rule)
+        return expansion[1]
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +607,25 @@ MACHINE_RULE_TAGS: tuple[str, ...] = (
 CERT_RULE_TAGS: tuple[str, ...] = ("success", "failure")
 
 
-def machine_steps(state: MachineState, config: PsConfig,
-                  cert_cache: Optional[CertCache] = None,
+def machine_steps(state: MachineState, config: PsConfig, *,
+                  space: Optional[PsSpace] = None,
                   ) -> Iterator[MachineState]:
     """Enumerate certified machine steps and failure steps."""
-    for info in labeled_machine_steps(state, config, cert_cache):
+    for info in labeled_machine_steps(state, config, space=space):
         yield info.state
 
 
-def labeled_machine_steps(state: MachineState, config: PsConfig,
-                          cert_cache: Optional[CertCache] = None,
+def labeled_machine_steps(state: MachineState, config: PsConfig, *,
+                          space: Optional[PsSpace] = None,
                           ) -> Iterator[MachineStepInfo]:
     """Like :func:`machine_steps`, but each successor carries the index of
     the thread that stepped and the rule tag that fired — the raw material
     of witness timelines (:mod:`repro.obs.explain`).
 
-    ``cert_cache`` memoizes the ``machine: normal`` certification
-    side-condition across the run that owns it (see :class:`CertCache`).
+    The steps come from ``space`` (a :class:`PsSpace` under ``config``,
+    whose :class:`CertCache`, if any, memoizes the ``machine: normal``
+    certification side-condition), or from a throwaway space without a
+    cache.  A caller that steps many states passes one space for all.
 
     When an observability session is active, the machine-level rules
     (``machine: normal``, ``machine: failure``, SC fences) count into
@@ -330,53 +633,13 @@ def labeled_machine_steps(state: MachineState, config: PsConfig,
     """
     if state.bottom:
         return
-    registry = obs.metrics()
-    for index, thread in enumerate(state.threads):
-        action = thread.program.peek()
-        if isinstance(action, FenceAction) and action.kind is FenceKind.SC:
-            # SC fences need the machine's global view.
-            view = thread.view.join(state.sc_view)
-            updated = thread.evolve(program=thread.program.resume(None),
-                              view=view)
-            if registry is not None:
-                registry.inc("rule.psna.machine.sc-fence")
-            yield MachineStepInfo(
-                index, "sc-fence",
-                state.evolve(
-                        threads=_set(state.threads, index, updated),
-                        sc_view=view))
-            continue
-        for step in thread_steps(thread, state.memory, config):
-            if step.thread.is_bottom():
-                if registry is not None:
-                    registry.inc("rule.psna.machine.failure")
-                yield MachineStepInfo(
-                    index, "machine-failure",
-                    state.evolve(bottom=True),
-                    cause=step.tag)  # machine: failure
-                continue
-            if not certifiable(step.thread, step.memory, config, cert_cache):
-                continue  # machine: normal requires certification
-            syscalls = state.syscalls
-            if isinstance(action, SyscallAction) and step.tag == "syscall":
-                syscalls = syscalls + ((action.name, action.value),)
-            if registry is not None:
-                registry.inc("rule.psna.machine.normal")
-            moved = state
-            for loc, k in step.shifts:
-                moved = moved.shift(loc, k)
-            yield MachineStepInfo(
-                index, step.tag,
-                moved.evolve(
-                        threads=_set(moved.threads, index, step.thread),
-                        memory=step.memory,
-                        syscalls=syscalls),
-                shifts=step.shifts)
-
-
-def _set(threads: tuple[ThreadLts, ...], index: int,
-         thread: ThreadLts) -> tuple[ThreadLts, ...]:
-    return threads[:index] + (thread,) + threads[index + 1:]
+    if space is None:
+        space = PsSpace(config)
+    for index, tag, cause, key, shifts in space.successors(
+            space.encode(state)):
+        successor = (state.evolve(bottom=True) if cause is not None
+                     else space.decode(key))
+        yield MachineStepInfo(index, tag, successor, cause, shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +648,16 @@ def _set(threads: tuple[ThreadLts, ...], index: int,
 
 
 def intern_state(state: MachineState):
-    """The explorer's dedup key: the state itself (dense timestamps make
-    it canonical), and one key for every ⊥ state with the same trace."""
+    """The dedup key of a state object: the state itself (dense
+    timestamps make it canonical), and one key for every ⊥ state with the
+    same trace.  The explorer uses the same keys on ids
+    (:meth:`PsSpace.encode`)."""
     return ("⊥", state.syscalls) if state.bottom else state
 
 
 def intern_cert(thread: ThreadLts, memory: Memory):
-    """The :class:`CertCache` key of a certification pair."""
+    """The :class:`CertCache` key of a certification pair outside a
+    :class:`PsSpace` (inside one, the pair id)."""
     return (thread, memory.messages)
 
 

@@ -193,6 +193,54 @@ class TestCanaries:
         assert "!! psna.view.monotonic (injected):" in table
 
 
+class TestCertTableCanary:
+    """A corrupted verdict in an exploration's step table (``PsSpace``)
+    must reach the ``cache.cert-divergence`` oracle: table hits are
+    CertCache hits, re-certified uncached on the strict sample."""
+
+    #: Thread 0 promises ``x`` before its first step; thread 1's silent
+    #: steps keep memory still, so thread 0's first expansion — and its
+    #: memoized promise verdicts — is served once per silent step.
+    THREADS = [parse("a := y_rlx; x_rlx := 1; return a;"),
+               parse("b := 0; b := b + 1; b := b + 1; b := b + 1; "
+                     "b := b + 1; return b;")]
+
+    def _explore(self, monkeypatch, flip: bool):
+        from repro.psna import machine
+
+        class FlippingSpace(machine.PsSpace):
+            """Memoizes the negation of the first pair it certifies."""
+
+            __slots__ = ("target",)
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.target = None
+
+            def _certify(self, tid, mid):
+                verdict = super()._certify(tid, mid)
+                if self.target is None:
+                    self.target = (tid, mid)
+                if flip and (tid, mid) == self.target:
+                    return not verdict
+                return verdict
+
+        monkeypatch.setattr(machine, "PsSpace", FlippingSpace)
+        with obs.session(monitor="strict"):
+            checker = obs.monitor()
+            explore(self.THREADS, PsConfig(promise_budget=1))
+        return checker
+
+    def test_flipped_table_verdict_fires_divergence(self, monkeypatch):
+        checker = self._explore(monkeypatch, flip=True)
+        assert checker.violations.get("cache.cert-divergence", 0) > 0
+
+    def test_unflipped_table_is_clean(self, monkeypatch):
+        checker = self._explore(monkeypatch, flip=False)
+        assert checker.checks.get("cache.cert-divergence", 0) > 0
+        assert checker.total_violations() == 0
+
+
 class TestMergeDiscipline:
     def _monitor_with(self, *invariant_ids):
         checker = Monitor("strict", 1)
