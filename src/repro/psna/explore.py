@@ -161,9 +161,10 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
     state_bound_hit = False
     depth_bound_hit = False
 
-    # Graph/stream telemetry: both default to None and the hot loop pays
-    # one boolean check; when recording, the step tags supply the rule
-    # id per edge, and the monitor probe sees decoded states.
+    # Graph/stream telemetry and the monitor default to None, and the
+    # loop pays one boolean check per step; when recording, the step
+    # tags supply the rule id per edge, and the monitor probe sees
+    # decoded states.
     recorder = obs.graph()
     stream = obs.stream()
     builder = recorder.builder("psna.explore") if recorder is not None \
@@ -192,29 +193,7 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
             break
         key, depth = stack.pop()
         states += 1
-        if not recording:
-            if key[0] == "⊥":
-                behaviors.add(PsBottom(key[1]))
-                continue
-            returns = behavior_returns(key[0])
-            if returns is not None:
-                behaviors.add(PsBehavior(returns, key[3]))
-                continue
-            if depth == 0:
-                depth_bound_hit = True
-                continue
-            progressed = False
-            for _index, _tag, _cause, successor, _shifts in successors(key):
-                progressed = True
-                if successor not in seen:
-                    seen.add(successor)
-                    dedup_misses += 1
-                    stack.append((successor, depth - 1))
-                else:
-                    dedup_hits += 1
-        else:
-            # Recording path: mirror of the loop above, plus node/edge
-            # capture, periodic stream progress and monitor checks.
+        if recording:
             cur_depth = config.max_depth - depth
             src_id = -1
             if builder is not None:
@@ -222,28 +201,29 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
             if stream is not None and states % STATE_EVENT_INTERVAL == 0:
                 stream.emit("state", span="psna.explore", states=states,
                             frontier=len(stack), behaviors=len(behaviors))
-            if key[0] == "⊥":
-                behavior = PsBottom(key[1])
-                behaviors.add(behavior)
-                if builder is not None:
-                    builder.mark(src_id, "bottom", repr(behavior))
-                continue
-            returns = behavior_returns(key[0])
-            if returns is not None:
-                behavior = PsBehavior(returns, key[3])
-                behaviors.add(behavior)
-                if builder is not None:
-                    builder.mark(src_id, "terminal", repr(behavior))
-                continue
-            if depth == 0:
-                depth_bound_hit = True
-                if builder is not None:
-                    builder.truncated()
-                continue
-            state = space.decode(key) if probe is not None else None
-            progressed = False
-            for index, tag, cause, successor, shifts in successors(key):
-                progressed = True
+        if key[0] == "⊥":
+            behavior = PsBottom(key[1])
+            behaviors.add(behavior)
+            if builder is not None:
+                builder.mark(src_id, "bottom", repr(behavior))
+            continue
+        returns = behavior_returns(key[0])
+        if returns is not None:
+            behavior = PsBehavior(returns, key[3])
+            behaviors.add(behavior)
+            if builder is not None:
+                builder.mark(src_id, "terminal", repr(behavior))
+            continue
+        if depth == 0:
+            depth_bound_hit = True
+            if builder is not None:
+                builder.truncated()
+            continue
+        state = space.decode(key) if probe is not None else None
+        progressed = False
+        for index, tag, cause, successor, shifts in successors(key):
+            progressed = True
+            if recording:
                 rule = _rule_id(tag)
                 if stream is not None:
                     stream.last_rule = rule
@@ -256,16 +236,16 @@ def _explore(programs: list[Stmt | ThreadState], config: PsConfig,
                 if builder is not None:
                     dst_id, _new = builder.node(successor, cur_depth + 1)
                     builder.edge(src_id, dst_id, rule)
-                if successor not in seen:
-                    seen.add(successor)
-                    dedup_misses += 1
-                    stack.append((successor, depth - 1))
-                else:
-                    dedup_hits += 1
-            if builder is not None:
-                builder.frontier(len(stack))
-                if not progressed:
-                    builder.mark(src_id, "stuck")
+            if successor not in seen:
+                seen.add(successor)
+                dedup_misses += 1
+                stack.append((successor, depth - 1))
+            else:
+                dedup_hits += 1
+        if builder is not None:
+            builder.frontier(len(stack))
+            if not progressed:
+                builder.mark(src_id, "stuck")
         if len(stack) > peak_frontier:
             peak_frontier = len(stack)
         if not progressed:
