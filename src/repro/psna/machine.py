@@ -188,12 +188,12 @@ def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
     """
     if not thread.promises:
         return True
+    pair = space.pair(thread, memory) if space is not None else None
     key: object = None
     store = None
     digest = None
     if cache is not None:
-        key = (space.pair(thread, memory) if space is not None
-               else intern_cert(thread, memory))
+        key = intern_cert(thread, memory) if pair is None else pair
         cached = cache.entries.get(key)
         if cached is not None:
             cache.hits += 1
@@ -227,8 +227,7 @@ def certifiable(thread: ThreadLts, memory: Memory, config: PsConfig,
                     registry.inc("psna.cert.store_misses")
     with obs.span("psna.cert"):
         if space is not None:
-            certified, visited = space.search(
-                space.pair(thread, memory) if key is None else key)
+            certified, visited = space.search(pair)
         else:
             certified, visited = _search(thread, memory, config)
     if cache is not None:
